@@ -11,7 +11,6 @@ NOT production-hardened: arithmetic is not constant-time, key files are
 unencrypted, and nonce handling favors testability.  Desk-scale use only.
 """
 
-from mecdsa._kernels import BACKEND as _BACKEND
 from mecdsa.curve import (
     INFINITY,
     CurveParams,
@@ -43,10 +42,9 @@ from mecdsa.errors import (
     InvalidPointError,
     MecdsaError,
     NonceExhaustedError,
-    NotInvertibleError,
     UnknownCurveError,
 )
-from mecdsa.fieldmath import FieldElement, PrimeField, is_probable_prime, sqrt_mod
+from mecdsa.fieldmath import is_probable_prime, sqrt_mod
 from mecdsa.multi import (
     MultiCurveConfig,
     MultiCurveKeypair,
@@ -66,18 +64,12 @@ from mecdsa.registry import CurveRegistry, default_registry, get_curve, list_cur
 __version__ = "0.1.0"
 
 
-def kernel_backend() -> str:
-    """Which kernel implementation this process selected: 'native' or 'pure'."""
-    return _BACKEND
-
-
 __all__ = [
     "CurveParams",
     "CurveRegistry",
     "CurveValidationError",
     "DuplicateCurveError",
     "EcdsaSignature",
-    "FieldElement",
     "FieldMismatchError",
     "FormatError",
     "INFINITY",
@@ -90,10 +82,8 @@ __all__ = [
     "MultiSignature",
     "NonceExhaustedError",
     "NonceSource",
-    "NotInvertibleError",
     "OpCounts",
     "Point",
-    "PrimeField",
     "SeededNonceSource",
     "SystemNonceSource",
     "TEcdsaSignature",
@@ -108,7 +98,6 @@ __all__ = [
     "is_on_curve",
     "is_probable_prime",
     "keygen",
-    "kernel_backend",
     "list_curves",
     "mkeygen",
     "msign",

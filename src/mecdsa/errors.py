@@ -6,12 +6,7 @@ class MecdsaError(Exception):
 
 
 class FieldMismatchError(MecdsaError):
-    """Operands belong to different prime fields, or a coordinate lies
-    outside the curve's field."""
-
-
-class NotInvertibleError(MecdsaError):
-    """Inversion of zero (or of a non-unit under a composite modulus)."""
+    """A point coordinate lies outside the curve's field."""
 
 
 class InvalidPointError(MecdsaError):

@@ -1,141 +1,17 @@
-"""Prime-field arithmetic: canonical residues, inversion, modular square
-roots, and Miller-Rabin primality testing.
+"""Prime-field helpers: modular square roots and Miller-Rabin primality
+testing.  Field inversion lives with the group law in ``mecdsa._kernels``.
 
-Everything here is an immutable value or a pure function, safe to share
-between threads without locks.  None of it is constant-time; see the
-README for the security posture.
+Everything here is a plain function, safe to share between threads without
+locks.  None of it is constant-time; see the README for the security
+posture.
 """
 
 import random
-from dataclasses import dataclass
-
-from mecdsa import _kernels
-from mecdsa.errors import FieldMismatchError, NotInvertibleError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # Witness bases come from a fast PRNG seeded once from system entropy;
 # per-call SystemRandom draws would cost one syscall per round.
 _MR_RNG = random.Random(random.SystemRandom().getrandbits(128))
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The field F_p for an odd modulus p >= 3.
-
-    Primality is not enforced here (validation is a separate, reportable
-    step); the cheap structural requirements are.
-    """
-
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 3:
-            raise ValueError(f"modulus must be >= 3, got {self.modulus}")
-        if self.modulus % 2 == 0:
-            raise ValueError(f"modulus must be odd, got {self.modulus}")
-
-    def element(self, value: int) -> "FieldElement":
-        """The canonical residue of any integer."""
-        return FieldElement(value % self.modulus, self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-    def __repr__(self):
-        return f"PrimeField({self.modulus:#x})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue in canonical form: 0 <= value < modulus, always."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.modulus:
-            raise ValueError(
-                f"{self.value} is not a canonical residue mod {self.field.modulus}"
-            )
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"operands from different fields: {self.field} vs {other.field}"
-                )
-            return other
-        if isinstance(other, int):
-            return self.field.element(other)
-        return None
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return FieldElement((self.value + rhs.value) % self.field.modulus, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return FieldElement((self.value - rhs.value) % self.field.modulus, self.field)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
-
-    def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return FieldElement((self.value * rhs.value) % self.field.modulus, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.inverse()
-
-    def __neg__(self):
-        return FieldElement((-self.value) % self.field.modulus, self.field)
-
-    def __pow__(self, exponent: int):
-        return FieldElement(pow(self.value, exponent, self.field.modulus), self.field)
-
-    def __int__(self):
-        return self.value
-
-    def inverse(self) -> "FieldElement":
-        """Multiplicative inverse; NotInvertibleError for zero."""
-        if self.value == 0:
-            raise NotInvertibleError("zero has no multiplicative inverse")
-        try:
-            inv = _kernels.mod_inv(self.value, self.field.modulus)
-        except ZeroDivisionError as exc:
-            raise NotInvertibleError(str(exc)) from None
-        return FieldElement(inv, self.field)
-
-    def sqrt(self):
-        """Some square root in the field, or None if there is none."""
-        root = sqrt_mod(self.value, self.field.modulus)
-        if root is None:
-            return None
-        return FieldElement(root, self.field)
-
-    def __repr__(self):
-        return f"FieldElement({self.value:#x} mod {self.field.modulus:#x})"
 
 
 def sqrt_mod(a: int, p: int) -> "int | None":

@@ -130,7 +130,10 @@ def parse_curve_config(text: str) -> "tuple[CurveParams, bool]":
     if kv["strict"] not in ("true", "false"):
         raise FormatError(f"strict must be 'true' or 'false', got {kv['strict']!r}")
     strict = kv["strict"] == "true"
-    shell = CurveParams(name=name, p=p, a=a, b=b, gx=0, gy=0, n=n, h=h)
+    try:
+        shell = CurveParams(name=name, p=p, a=a, b=b, gx=0, gy=0, n=n, h=h)
+    except ValueError as exc:  # e.g. p < 2
+        raise FormatError(str(exc)) from None
     base = decode_point(kv["base"], shell)
     if base.is_infinity:
         raise FormatError("base point must not be the identity")
@@ -155,14 +158,13 @@ def format_curve_config(c: CurveParams, strict: bool = True) -> str:
 class CurveRegistry:
     """Case-insensitive name -> CurveParams map, built-ins included."""
 
-    def __init__(self, validate_builtins: bool = True, rounds: int = 64):
+    def __init__(self):
         self._entries: "dict[str, RegistryEntry]" = {}
         for name, source, p, a, b, gx, gy, n, h in _BUILTINS:
             params = CurveParams(name=name, p=p, a=a, b=b, gx=gx, gy=gy, n=n, h=h)
-            if validate_builtins:
-                report = validate_curve_params(params, strict=True, rounds=rounds)
-                if not report.ok:
-                    raise CurveValidationError(report)
+            report = validate_curve_params(params, strict=True)
+            if not report.ok:
+                raise CurveValidationError(report)
             self._entries[name] = RegistryEntry(params, source)
 
     def __len__(self):

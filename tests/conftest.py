@@ -15,10 +15,16 @@ from mecdsa.registry import default_registry
 #   TEST17:  y^2 = x^3 + 2x + 2 over F_17, G = (5, 1),  n = 19 (p = 1 mod 4)
 #   TOY23:   y^2 = x^3 +  x + 4 over F_23, G = (1, 11), n = 29 (p = 3 mod 4)
 #   TOY43:   y^2 = x^3      + 7 over F_43, G = (2, 12), n = 31 (p = 3 mod 4)
+#   TOY23M3: y^2 = x^3 + 20x + 8 over F_23, G = (0, 10), n = 31 (a = p - 3)
+#
+# Between them the toys cover the coefficient shapes of the built-ins:
+# a = 0 (TOY43, like secp256k1), a = p - 3 (TOY23M3, like P-256 and SM2)
+# and general a (TEST17, TOY23).
 
 TEST17 = CurveParams(name="test17", p=17, a=2, b=2, gx=5, gy=1, n=19, h=1)
 TOY23 = CurveParams(name="toy23", p=23, a=1, b=4, gx=1, gy=11, n=29, h=1)
 TOY43 = CurveParams(name="toy43", p=43, a=0, b=7, gx=2, gy=12, n=31, h=1)
+TOY23M3 = CurveParams(name="toy23m3", p=23, a=20, b=8, gx=0, gy=10, n=31, h=1)
 
 
 def toy_tuple(c: CurveParams):

@@ -2,7 +2,8 @@
 
 Nothing here imports from the package under test.  Inversion goes through
 Fermat exponentiation, scalar multiplication through literal repeated
-addition, and the signing procedures are straight-line transcriptions
+addition (or, on full-size curves, an affine right-to-left ladder built on
+the same addition), and the signing procedures are straight-line transcriptions
 with no retry logic (vectors are chosen so retries never trigger, and the
 assertions document that).  Only practical on toy-sized curves.
 """
@@ -40,6 +41,19 @@ def repeated_add(k, pt, a, p):
     acc = None
     for _ in range(k):
         acc = chord_tangent_add(acc, pt, a, p)
+    return acc
+
+
+def affine_ladder(k, pt, a, p):
+    """k-fold sum by right-to-left double-and-add over chord_tangent_add,
+    for curves too large to add k times."""
+    assert k >= 0
+    acc, addend = None, pt
+    while k:
+        if k & 1:
+            acc = chord_tangent_add(acc, addend, a, p)
+        addend = chord_tangent_add(addend, addend, a, p)
+        k >>= 1
     return acc
 
 

@@ -1,10 +1,7 @@
 import pytest
 
 from mecdsa.bench import (
-    BackendComparison,
     ceil_log2,
-    compare_backends,
-    format_backend_comparison,
     format_report_table,
     formula_sig_bits,
     measure_counts,
@@ -156,13 +153,3 @@ def test_report_formatting_contains_counts_and_lengths():
     assert "mecdsa.sign.counted.field_add = 3" in kv
     assert "mecdsa.sign.predicted.field_add = 3" in kv
     assert "length.mecdsa.formula_bits" in kv
-
-
-def test_compare_backends_outputs_agree():
-    comparison = compare_backends(TEST17, iterations=10, seed=4)
-    assert isinstance(comparison, BackendComparison)
-    assert comparison.outputs_equal
-    names = {res.backend for res in comparison.results}
-    assert "pure" in names
-    text = format_backend_comparison(comparison)
-    assert "pure" in text

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -22,6 +23,21 @@ def toy_file(workdir):
     path = workdir / "test17.curve"
     path.write_text(TEST17_CONFIG)
     return str(path)
+
+
+def run_cli_process(*args):
+    """Run ``python -m mecdsa.cli`` in a fresh interpreter."""
+    import mecdsa
+
+    env = dict(os.environ)
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(mecdsa.__file__)))
+    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "mecdsa.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 def keygen_toy(workdir, toy_file, seed="a5"):
@@ -215,6 +231,19 @@ def test_curves_validate(workdir, toy_file, capsys):
     assert main(["curves", "validate", str(garbage)]) == 2
 
 
+@pytest.mark.parametrize("modulus", ["0", "1"])
+def test_degenerate_field_modulus_exits_2_without_traceback(workdir, modulus):
+    config = TEST17_CONFIG.replace("p = 11\n", f"p = {modulus}\n")
+    assert config != TEST17_CONFIG
+    path = workdir / "degenerate.curve"
+    path.write_text(config)
+    for args in (("curves", "validate", str(path)), ("curves", "list", "--curve-file", str(path))):
+        result = run_cli_process(*args)
+        assert result.returncode == 2, (args, result.stderr)
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and ">= 2" in result.stderr
+
+
 def test_bench_counts_match_and_report(workdir, capsys):
     code = main(
         [
@@ -245,35 +274,12 @@ def test_bench_t1_lengths_coincide(workdir, capsys):
     assert "length.tecdsa.formula_bits = 512" in out
 
 
-def test_bench_backend_comparison_flag(workdir, capsys):
-    code = main(
-        [
-            "bench", "--curves", "secp256k1", "--t", "1", "--iters", "1",
-            "--length-samples", "1", "--backends",
-        ]
-    )
-    assert code == 0
-    assert "kernel backends" in capsys.readouterr().out
-
-
 def test_bench_bad_flags(workdir):
     assert main(["bench", "--curves", "secp256k1,p256", "--t", "3"]) == 2
     assert main(["bench", "--curves", "", "--t", "1"]) == 2
 
 
 def test_console_script_entry_point(workdir):
-    import os
-
-    import mecdsa
-
-    env = dict(os.environ)
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(mecdsa.__file__)))
-    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run(
-        [sys.executable, "-m", "mecdsa.cli", "curves", "list"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    result = run_cli_process("curves", "list")
     assert result.returncode == 0
     assert "secp256k1" in result.stdout

@@ -19,11 +19,11 @@ from mecdsa.curve import (
 from mecdsa.errors import FieldMismatchError, FormatError, InvalidPointError
 from mecdsa.registry import default_registry
 
-from .conftest import TEST17, TOY23, TOY43
+from .conftest import TEST17, TOY23, TOY23M3, TOY43
 from .oracles import chord_tangent_add, enum_points, group_table, repeated_add
 
 # frozen enumeration facts: (curve, group size, sample multiples)
-TOY_GROUP_SIZES = [(TEST17, 19), (TOY23, 29), (TOY43, 31)]
+TOY_GROUP_SIZES = [(TEST17, 19), (TOY23, 29), (TOY43, 31), (TOY23M3, 31)]
 
 
 def as_pt(raw):

@@ -163,6 +163,29 @@ def test_msign_roundtrip_builtin_pair():
     assert not mverify(b"builtin pair!", sig, kp.q, config)
 
 
+def test_each_s_malleates_independently_on_builtin_pair():
+    # Known property, not enforced away: (k, s_i) and (-k, n_i - s_i) give
+    # the same x(R_i), so each s_i flips on its own and one genuine
+    # signature yields 2^t valid ones.  Low-s form would be a scheme change.
+    registry = default_registry()
+    config = MultiCurveConfig((registry.get("secp256k1"), registry.get("p256")))
+    rng = SeededNonceSource(47)
+    kp = mkeygen(config, rng)
+    message = b"malleable"
+    sig = msign(message, kp, rng)
+    variants = set()
+    for mask in range(2**config.t):
+        s = tuple(
+            c.n - s_i if mask >> i & 1 else s_i
+            for i, (s_i, c) in enumerate(zip(sig.s, config.curves))
+        )
+        variants.add(s)
+        assert mverify(message, MultiSignature(sig.r, s), kp.q, config), mask
+    assert len(variants) == 4
+    for r in (sig.r - 1, sig.r + 1):
+        assert not mverify(message, MultiSignature(r, sig.s), kp.q, config)
+
+
 def test_full_restart_on_r_divisible_by_order(toy_pair_config):
     kp = toy_keypair(toy_pair_config, [4, 11])
     src = ListNonceSource(RESTART_NONCES)

@@ -32,10 +32,8 @@ strict = false
 
 
 @pytest.fixture
-def fresh_registry(registry):
-    # builtins were already validated for the session registry; skip the
-    # re-validation here to keep mutation-heavy tests quick
-    return CurveRegistry(validate_builtins=False)
+def fresh_registry():
+    return CurveRegistry()
 
 
 def test_builtin_names(registry):
@@ -157,6 +155,12 @@ def test_parse_rejects_bad_strict_flag():
 def test_parse_rejects_bad_hex():
     with pytest.raises(FormatError):
         parse_curve_config(TEST17_CONFIG.replace("p = 11", "p = zz"))
+
+
+@pytest.mark.parametrize("modulus", ["0", "1"])
+def test_parse_rejects_degenerate_modulus(modulus):
+    with pytest.raises(FormatError, match="modulus must be >= 2"):
+        parse_curve_config(TEST17_CONFIG.replace("p = 11", f"p = {modulus}"))
 
 
 def test_parse_rejects_compressed_infinity_base():
