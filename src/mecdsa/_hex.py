@@ -27,10 +27,3 @@ def int_to_fixed_hex(value: int, width_bytes: int) -> str:
     if value < 0 or value >= 1 << (8 * width_bytes):
         raise ValueError(f"{value} does not fit in {width_bytes} bytes")
     return format(value, "0%dx" % (2 * width_bytes))
-
-
-def minimal_bytes(value: int) -> bytes:
-    """Shortest big-endian encoding; the empty string for zero."""
-    if value < 0:
-        raise ValueError("negative integers have no minimal byte form")
-    return value.to_bytes((value.bit_length() + 7) // 8, "big")

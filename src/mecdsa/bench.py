@@ -20,6 +20,7 @@ Timings are informational only.  Retried runs are reported with their
 actual (elevated) counts and a retry flag, never silently dropped.
 """
 
+import random
 import statistics
 import time
 from dataclasses import dataclass
@@ -38,6 +39,13 @@ def _check_scheme_phase(scheme: str, phase: str):
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if phase not in PHASES:
         raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
+
+
+def _scheme_functions(scheme: str):
+    """The (sign, verify) pair of a scheme."""
+    if scheme == "mecdsa":
+        return multi.msign, multi.mverify
+    return multi.t_ecdsa_sign, multi.t_ecdsa_verify
 
 
 def predicted_counts(scheme: str, phase: str, t: int) -> OpCounts:
@@ -86,8 +94,7 @@ def measure_counts(
     is produced first without instrumentation, then verified with it.
     """
     _check_scheme_phase(scheme, phase)
-    sign_fn = multi.msign if scheme == "mecdsa" else multi.t_ecdsa_sign
-    verify_fn = multi.mverify if scheme == "mecdsa" else multi.t_ecdsa_verify
+    sign_fn, verify_fn = _scheme_functions(scheme)
     trace = Trace()
     if phase == "sign":
         sign_fn(message, keypair, ListNonceSource(nonces), trace)
@@ -163,9 +170,7 @@ def signature_length_report(
     rng = SeededNonceSource(seed)
     keypair = mkeygen(config, rng)
     m_bits, b_bits = [], []
-    import random as _random
-
-    msg_rng = _random.Random(seed ^ 0x5BD1E995)
+    msg_rng = random.Random(seed ^ 0x5BD1E995)
     for _ in range(samples):
         message = msg_rng.randbytes(64)
         m_bits.append(_multisig_payload_bits(multi.msign(message, keypair, rng)))
@@ -182,8 +187,6 @@ class TimingStats:
     iterations: int
     mean: float
     median: float
-    minimum: float
-    maximum: float
 
     @classmethod
     def from_samples(cls, samples: "list[float]") -> "TimingStats":
@@ -191,8 +194,6 @@ class TimingStats:
             iterations=len(samples),
             mean=statistics.fmean(samples),
             median=statistics.median(samples),
-            minimum=min(samples),
-            maximum=max(samples),
         )
 
 
@@ -228,15 +229,12 @@ def timing_bench(
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    import random as _random
-
     lengths = signature_length_report(config, samples=length_samples, seed=seed)
     keypair = mkeygen(config, SeededNonceSource(seed + 1))
     reports = []
     for scheme in SCHEMES:
-        sign_fn = multi.msign if scheme == "mecdsa" else multi.t_ecdsa_sign
-        verify_fn = multi.mverify if scheme == "mecdsa" else multi.t_ecdsa_verify
-        msg_rng = _random.Random(seed)
+        sign_fn, verify_fn = _scheme_functions(scheme)
+        msg_rng = random.Random(seed)
         nonce_rng = SeededNonceSource(seed + 2)
         sign_times, verify_times = [], []
         sign_trace, verify_trace = Trace(), Trace()

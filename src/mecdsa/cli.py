@@ -17,6 +17,7 @@ import os
 import sys
 
 from mecdsa import bench as benchmod
+from mecdsa import curve
 from mecdsa._hex import hex_to_int, int_to_hex
 from mecdsa.curve import CurveParams, decode_point, encode_point, validate_curve_params
 from mecdsa.ecdsa import (
@@ -46,7 +47,12 @@ from mecdsa.multi import (
     t_ecdsa_sign,
     t_ecdsa_verify,
 )
-from mecdsa.registry import CurveRegistry, parse_curve_config, parse_kv_lines
+from mecdsa.registry import (
+    CurveRegistry,
+    format_curve_config,
+    parse_curve_config,
+    parse_kv_lines,
+)
 
 DEFAULT_CURVES = "secp256k1,p256"
 
@@ -150,10 +156,8 @@ def _load_key_file(path, registry, need_secret):
         if len(ds) != config.t:
             _fail_input(f"{path}: d list does not match curve list")
         keypair = MultiCurveKeypair(config, ds, publics)
-        from mecdsa.curve import scalar_mul
-
         for c, d, q in zip(config.curves, ds, publics):
-            if scalar_mul(d, c.base, c) != q:
+            if curve.scalar_mul(d, c.base, c) != q:
                 _fail_input(f"{path}: stored public point does not match d*P on {c.name}")
         return config, keypair, publics
     except KeyError as exc:
@@ -257,8 +261,6 @@ def _cmd_curves(args):
             params = registry.get(args.name)
         except UnknownCurveError as exc:
             _fail_input(str(exc))
-        from mecdsa.registry import format_curve_config
-
         sys.stdout.write(format_curve_config(params))
         return EXIT_OK
     # validate

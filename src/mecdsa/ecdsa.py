@@ -9,6 +9,10 @@ modulo the order, so curves of any size work.
 The private key d lies in [1, n-1]: d = n would give Q = O, which is
 unusable.  Verification also rejects R = O, whose x-coordinate does not
 exist.
+
+Each per-curve step (nonce point, s, public-key check, recovery of R) is
+written once here, with its operation tallies, and ``mecdsa.multi`` runs
+the same steps once per curve.
 """
 
 import hashlib
@@ -87,10 +91,6 @@ class ListNonceSource(NonceSource):
     def consumed(self) -> int:
         return self._next
 
-    @property
-    def remaining(self) -> int:
-        return len(self._values) - self._next
-
     def draw(self, order: int) -> int:
         if self._next >= len(self._values):
             raise NonceExhaustedError(
@@ -121,8 +121,72 @@ def keygen(curve: CurveParams, rng: NonceSource) -> Keypair:
     d = rng.draw(curve.n)
     q = curvemod.scalar_mul(d, curve.base, curve)
     if q.is_infinity:
-        raise ValueError("degenerate key: d*P = O (is the curve order right?)")
+        raise ValueError(f"degenerate key on {curve.name}: d*P = O")
     return Keypair(curve, d, q)
+
+
+def _nonce_point(
+    curve: CurveParams, nonces: NonceSource, trace: "Trace | None"
+) -> "tuple[int, Point, int]":
+    """(k, k*P, r = x(k*P) mod n), drawing a fresh k while r = 0."""
+    n = curve.n
+    while True:
+        k = nonces.draw(n)
+        kp = curvemod.scalar_mul(k, curve.base, curve)
+        if trace is not None:
+            trace.counts.ec_mul += 1
+        r = kp.x % n
+        if r != 0:
+            return k, kp, r
+        if trace is not None:
+            trace.retries += 1
+
+
+def _sign_scalar(k: int, d: int, r: int, e: int, n: int, trace: "Trace | None") -> int:
+    """s = k^-1 (e + d*r) mod n; r may be the unreduced multi-curve sum."""
+    s = _kernels.mod_inv(k, n) * ((e + d * r) % n) % n
+    if trace is not None:
+        trace.counts.field_inv += 1
+        trace.counts.field_mul += 2
+        trace.counts.field_add += 1
+    return s
+
+
+def _public_key_ok(q: Point, curve: CurveParams) -> bool:
+    """Q is not O and lies on the curve."""
+    try:
+        return not q.is_infinity and curvemod.is_on_curve(q, curve)
+    except FieldMismatchError:
+        return False
+
+
+def _recover_r(
+    e: int, r: int, s: int, q: Point, curve: CurveParams, trace: "Trace | None"
+) -> "int | None":
+    """x(R) mod n for R = (e/s)*P + (r/s)*Q, or None when R = O.
+
+    r may be the unreduced multi-curve sum.  R and the residue go on the
+    trace.
+    """
+    n = curve.n
+    w = _kernels.mod_inv(s, n)
+    big_r = curvemod.point_add(
+        curvemod.scalar_mul(e * w % n, curve.base, curve),
+        curvemod.scalar_mul(r * w % n, q, curve),
+        curve,
+    )
+    if trace is not None:
+        trace.counts.field_inv += 1
+        trace.counts.field_mul += 2
+        trace.counts.ec_mul += 2
+        trace.counts.ec_add += 1
+    if big_r.is_infinity:
+        return None
+    r_prime = big_r.x % n
+    if trace is not None:
+        trace.points.append(big_r)
+        trace.r_values.append(r_prime)
+    return r_prime
 
 
 def sign(
@@ -133,36 +197,19 @@ def sign(
 ) -> EcdsaSignature:
     """Sign; retries draw a fresh nonce until r != 0 and s != 0."""
     c = keypair.curve
-    n = c.n
     e = hash_to_int(message)
-    counts = trace.counts if trace is not None else None
     while True:
-        k = nonces.draw(n)
-        kp = curvemod.scalar_mul(k, c.base, c)
-        if counts is not None:
-            counts.ec_mul += 1
-        r = kp.x % n
-        if r == 0:
-            if trace is not None:
-                trace.retries += 1
-            continue
-        kinv = _kernels.mod_inv(k, n)
-        dr = keypair.d * r % n
-        t = (e + dr) % n
-        s = kinv * t % n
-        if counts is not None:
-            counts.field_inv += 1
-            counts.field_mul += 2
-            counts.field_add += 1
-        if s == 0:
-            if trace is not None:
-                trace.retries += 1
-            continue
+        k, kp, r = _nonce_point(c, nonces, trace)
+        s = _sign_scalar(k, keypair.d, r, e, c.n, trace)
+        if s != 0:
+            break
         if trace is not None:
-            trace.nonces.append(k)
-            trace.points.append(kp)
-            trace.r_values.append(r)
-        return EcdsaSignature(r, s)
+            trace.retries += 1
+    if trace is not None:
+        trace.nonces.append(k)
+        trace.points.append(kp)
+        trace.r_values.append(r)
+    return EcdsaSignature(r, s)
 
 
 def verify(
@@ -180,35 +227,9 @@ def verify(
     n = curve.n
     if not (1 <= sig.r <= n - 1 and 1 <= sig.s <= n - 1):
         return False
-    try:
-        public_ok = not public.is_infinity and curvemod.is_on_curve(public, curve)
-    except FieldMismatchError:
-        public_ok = False
-    if not public_ok:
+    if not _public_key_ok(public, curve):
         return False
-    e = hash_to_int(message)
-    counts = trace.counts if trace is not None else None
-    w = _kernels.mod_inv(sig.s, n)
-    u = e * w % n
-    v = sig.r * w % n
-    if counts is not None:
-        counts.field_inv += 1
-        counts.field_mul += 2
-    big_r = curvemod.point_add(
-        curvemod.scalar_mul(u, curve.base, curve),
-        curvemod.scalar_mul(v, public, curve),
-        curve,
-    )
-    if counts is not None:
-        counts.ec_mul += 2
-        counts.ec_add += 1
-    if big_r.is_infinity:
-        return False
-    r_prime = big_r.x % n
-    if trace is not None:
-        trace.points.append(big_r)
-        trace.r_values.append(r_prime)
-    return sig.r == r_prime
+    return sig.r == _recover_r(hash_to_int(message), sig.r, sig.s, public, curve, trace)
 
 
 def format_signature(sig: EcdsaSignature) -> str:

@@ -12,8 +12,10 @@ If r = 0 (mod n_i) for any i — or any s_i lands on 0, which is a shared
 failure because every s_j depends on r — the whole pass restarts with
 fresh nonces for all curves.  Verification recomputes R_i =
 (e/s_i)*P_i + (r/s_i)*Q_i per curve and accepts when r equals the sum of
-the recovered x-coordinates reduced per curve.  For t = 1 all of this
-degenerates, bit for bit, to plain ECDSA.
+the recovered x-coordinates reduced per curve.  Each per-curve step is
+the one ``mecdsa.ecdsa`` runs for plain ECDSA, tallies included; only the
+r sum, the restart rule and the range checks live here.  For t = 1 all of
+this degenerates, bit for bit, to plain ECDSA.
 
 Because r is unreduced it lies in [t, n_1+...+n_t - t] for any genuine
 signature, which is also the verifier's first range check (closed
@@ -25,13 +27,21 @@ runs are reproducible; the r sum is the join point of the per-curve work.
 
 from dataclasses import dataclass
 
-from mecdsa import _kernels
-from mecdsa import curve as curvemod
 from mecdsa.curve import CurveParams, Point
-from mecdsa.ecdsa import EcdsaSignature, Keypair, NonceSource, hash_to_int
+from mecdsa.ecdsa import (
+    EcdsaSignature,
+    Keypair,
+    NonceSource,
+    _nonce_point,
+    _public_key_ok,
+    _recover_r,
+    _sign_scalar,
+    hash_to_int,
+    keygen,
+)
 from mecdsa.ecdsa import sign as ecdsa_sign
 from mecdsa.ecdsa import verify as ecdsa_verify
-from mecdsa.errors import FieldMismatchError, FormatError
+from mecdsa.errors import FormatError
 from mecdsa.opcount import Trace
 
 
@@ -93,15 +103,10 @@ class TEcdsaSignature:
 
 def mkeygen(config: MultiCurveConfig, rng: NonceSource) -> MultiCurveKeypair:
     """One independent keypair per curve, drawn in index order."""
-    ds, qs = [], []
-    for c in config.curves:
-        d = rng.draw(c.n)
-        q = curvemod.scalar_mul(d, c.base, c)
-        if q.is_infinity:
-            raise ValueError(f"degenerate key on {c.name}: d*P = O")
-        ds.append(d)
-        qs.append(q)
-    return MultiCurveKeypair(config, tuple(ds), tuple(qs))
+    pairs = [keygen(c, rng) for c in config.curves]
+    return MultiCurveKeypair(
+        config, tuple(kp.d for kp in pairs), tuple(kp.q for kp in pairs)
+    )
 
 
 def msign(
@@ -118,42 +123,18 @@ def msign(
     """
     cfg = keypair.config
     e = hash_to_int(message)
-    counts = trace.counts if trace is not None else None
     while True:
-        ks, points, r_parts = [], [], []
-        for c in cfg.curves:
-            while True:
-                k = nonces.draw(c.n)
-                kp = curvemod.scalar_mul(k, c.base, c)
-                if counts is not None:
-                    counts.ec_mul += 1
-                r_i = kp.x % c.n
-                if r_i != 0:
-                    break
-                if trace is not None:
-                    trace.retries += 1
-            ks.append(k)
-            points.append(kp)
-            r_parts.append(r_i)
-        r = r_parts[0]
-        for part in r_parts[1:]:
-            r = r + part
-            if counts is not None:
-                counts.field_add += 1
+        rounds = [_nonce_point(c, nonces, trace) for c in cfg.curves]
+        r = sum(r_i for _, _, r_i in rounds)
+        if trace is not None:
+            trace.counts.field_add += cfg.t - 1
         if any(r % c.n == 0 for c in cfg.curves):
             if trace is not None:
                 trace.restarts += 1
             continue
         ss = []
-        for c, k, d in zip(cfg.curves, ks, keypair.d):
-            kinv = _kernels.mod_inv(k, c.n)
-            dr = d * r % c.n
-            t_i = (e + dr) % c.n
-            s_i = kinv * t_i % c.n
-            if counts is not None:
-                counts.field_inv += 1
-                counts.field_mul += 2
-                counts.field_add += 1
+        for c, (k, _, _), d in zip(cfg.curves, rounds, keypair.d):
+            s_i = _sign_scalar(k, d, r, e, c.n, trace)
             if s_i == 0:
                 break
             ss.append(s_i)
@@ -163,9 +144,10 @@ def msign(
                 trace.restarts += 1
             continue
         if trace is not None:
-            trace.nonces.extend(ks)
-            trace.points.extend(points)
-            trace.r_values.extend(r_parts)
+            for k, kp, r_i in rounds:
+                trace.nonces.append(k)
+                trace.points.append(kp)
+                trace.r_values.append(r_i)
         return MultiSignature(r, tuple(ss))
 
 
@@ -186,46 +168,20 @@ def mverify(
         return False
     if not (t <= sig.r <= config.order_sum - t):
         return False
-    for c, s_i in zip(config.curves, sig.s):
-        if not (1 <= s_i <= c.n - 1):
-            return False
-    for c, q in zip(config.curves, publics):
-        try:
-            if q.is_infinity or not curvemod.is_on_curve(q, c):
-                return False
-        except FieldMismatchError:
-            return False
+    if not all(1 <= s_i <= c.n - 1 for c, s_i in zip(config.curves, sig.s)):
+        return False
+    if not all(_public_key_ok(q, c) for c, q in zip(config.curves, publics)):
+        return False
     e = hash_to_int(message)
-    counts = trace.counts if trace is not None else None
     r_primes = []
     for c, s_i, q in zip(config.curves, sig.s, publics):
-        w = _kernels.mod_inv(s_i, c.n)
-        u = e * w % c.n
-        v = sig.r * w % c.n
-        if counts is not None:
-            counts.field_inv += 1
-            counts.field_mul += 2
-        big_r = curvemod.point_add(
-            curvemod.scalar_mul(u, c.base, c),
-            curvemod.scalar_mul(v, q, c),
-            c,
-        )
-        if counts is not None:
-            counts.ec_mul += 2
-            counts.ec_add += 1
-        if big_r.is_infinity:
+        r_prime = _recover_r(e, sig.r, s_i, q, c, trace)
+        if r_prime is None:
             return False
-        rp = big_r.x % c.n
-        r_primes.append(rp)
-        if trace is not None:
-            trace.points.append(big_r)
-            trace.r_values.append(rp)
-    total = r_primes[0]
-    for rp in r_primes[1:]:
-        total = total + rp
-        if counts is not None:
-            counts.field_add += 1
-    return sig.r == total
+        r_primes.append(r_prime)
+    if trace is not None:
+        trace.counts.field_add += t - 1
+    return sig.r == sum(r_primes)
 
 
 def t_ecdsa_sign(

@@ -20,18 +20,6 @@ class OpCounts:
     ec_add: int = 0
     ec_mul: int = 0
 
-    def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.field_add + other.field_add,
-            self.field_mul + other.field_mul,
-            self.field_inv + other.field_inv,
-            self.ec_add + other.ec_add,
-            self.ec_mul + other.ec_mul,
-        )
-
-    def total(self) -> int:
-        return self.field_add + self.field_mul + self.field_inv + self.ec_add + self.ec_mul
-
     def as_dict(self) -> "dict[str, int]":
         return {
             "field_add": self.field_add,

@@ -1,14 +1,16 @@
 """Named curve parameter sets and user-supplied curve configs.
 
 Built-ins carry the authoritative constants from the public standards
-(FIPS 186-4, GB/T 32918, SEC 2 v2) and are strictly validated when the
-registry is constructed.  Custom curves arrive as flat key-value config
-documents and go through the same validation, with a relaxed mode that
-drops only the order-size bounds so small test curves can be loaded.
+(FIPS 186-4, GB/T 32918, SEC 2 v2) and are strictly validated the first
+time ``get`` returns them, so a process pays only for the curves it uses.
+Custom curves arrive as flat key-value config documents and are validated
+when loaded, with a relaxed mode that drops only the order-size bounds so
+small test curves can be loaded.
 
 A registry is append-only: entries are never removed, so nothing that
-captured a CurveParams can be left dangling.  Construction and
-``load_custom`` need exclusive access; reading is freely concurrent.
+captured a CurveParams can be left dangling.  ``load_custom`` needs
+exclusive access; reading is freely concurrent (two concurrent first
+``get``s of one built-in may both validate it, which is harmless).
 """
 
 import functools
@@ -29,19 +31,20 @@ from mecdsa.errors import (
     UnknownCurveError,
 )
 
+# p, a, b, gx, gy, n, h of P-256, published under two names
+_P256 = (
+    0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF,
+    0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFC,
+    0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B,
+    0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
+    0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
+    0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551,
+    1,
+)
+
 # name, source, p, a, b, gx, gy, n, h
 _BUILTINS = (
-    (
-        "p256",
-        "FIPS 186-4",
-        0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF,
-        0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFC,
-        0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B,
-        0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
-        0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
-        0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551,
-        1,
-    ),
+    ("p256", "FIPS 186-4", *_P256),
     (
         "sm2",
         "GB/T 32918",
@@ -53,17 +56,7 @@ _BUILTINS = (
         0xFFFFFFFEFFFFFFFFFFFFFFFFFFFFFFFF7203DF6B21C6052B53BBF40939D54123,
         1,
     ),
-    (
-        "secp256r1",
-        "SEC 2 v2",
-        0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF,
-        0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFC,
-        0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B,
-        0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
-        0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
-        0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551,
-        1,
-    ),
+    ("secp256r1", "SEC 2 v2", *_P256),
     (
         "secp256k1",
         "SEC 2 v2",
@@ -162,10 +155,8 @@ class CurveRegistry:
         self._entries: "dict[str, RegistryEntry]" = {}
         for name, source, p, a, b, gx, gy, n, h in _BUILTINS:
             params = CurveParams(name=name, p=p, a=a, b=b, gx=gx, gy=gy, n=n, h=h)
-            report = validate_curve_params(params, strict=True)
-            if not report.ok:
-                raise CurveValidationError(report)
             self._entries[name] = RegistryEntry(params, source)
+        self._unvalidated = set(self._entries)
 
     def __len__(self):
         return len(self._entries)
@@ -177,10 +168,17 @@ class CurveRegistry:
         return sorted(self._entries)
 
     def get(self, name: str) -> CurveParams:
-        entry = self._entries.get(name.lower())
+        """The named curve; a built-in is strictly validated on first use."""
+        key = name.lower()
+        entry = self._entries.get(key)
         if entry is None:
             known = ", ".join(self.names())
             raise UnknownCurveError(f"unknown curve {name!r}; available: {known}")
+        if key in self._unvalidated:
+            report = validate_curve_params(entry.params, strict=True)
+            if not report.ok:
+                raise CurveValidationError(report)
+            self._unvalidated.discard(key)
         return entry.params
 
     def list_curves(self) -> "list[tuple[str, int, str]]":
@@ -205,7 +203,8 @@ class CurveRegistry:
 
 @functools.lru_cache(maxsize=1)
 def default_registry() -> CurveRegistry:
-    """The shared built-ins-only registry (validated once per process)."""
+    """The shared built-ins-only registry (each curve validated at most
+    once per process)."""
     return CurveRegistry()
 
 

@@ -198,6 +198,33 @@ def test_full_restart_on_r_divisible_by_order(toy_pair_config):
     assert mverify(message, sig, kp.q, toy_pair_config)
 
 
+def test_per_curve_retry_on_r_zero(toy_pair_config):
+    # k_2 = 7 gives 7*P_2 = (0, 2) on TOY23, so r_2 = 0: only curve 2
+    # draws again, and the pass itself does not restart
+    kp = toy_keypair(toy_pair_config, [4, 11])
+    src = ListNonceSource([1, 7, 3])
+    trace = Trace()
+    sig = msign(b"retry", kp, src, trace)
+    assert (trace.retries, trace.restarts) == (1, 0)
+    assert trace.counts.ec_mul == 3
+    assert src.consumed == 3
+    assert sig == msign(b"retry", kp, ListNonceSource(CLEAN_NONCES))
+
+
+def test_full_restart_on_s_zero(toy_pair_config):
+    # nonces [1, 3] give r = 22, and e + 21*22 = 0 mod 29, so s_2 = 0
+    # after s_1 was computed: the whole pass restarts on fresh nonces
+    kp = toy_keypair(toy_pair_config, [12, 21])
+    src = ListNonceSource([1, 3, 2, 5])
+    trace = Trace()
+    sig = msign(b"s-zero", kp, src, trace)
+    assert (trace.retries, trace.restarts) == (0, 1)
+    assert trace.counts.field_inv == 4  # both s_i of the failed pass
+    assert src.consumed == 4
+    assert trace.nonces == [2, 5]
+    assert mverify(b"s-zero", sig, kp.q, toy_pair_config)
+
+
 def test_restart_exhaustion_raises(toy_pair_config):
     kp = toy_keypair(toy_pair_config, [4, 11])
     with pytest.raises(NonceExhaustedError):

@@ -2,6 +2,8 @@ import dataclasses
 
 import pytest
 
+from mecdsa import registry as registry_module
+from mecdsa.cli import main
 from mecdsa.curve import validate_curve_params
 from mecdsa.errors import (
     CurveValidationError,
@@ -187,3 +189,39 @@ def test_custom_curves_resolve_after_loading(fresh_registry):
         (name, source) for name, _, source in fresh_registry.list_curves()
     )
     assert listing["test17"] == "custom"
+
+
+def test_builtins_validated_on_first_get_only(monkeypatch):
+    validated = []
+
+    def counting(params, **kwargs):
+        validated.append(params.name)
+        return validate_curve_params(params, **kwargs)
+
+    monkeypatch.setattr(registry_module, "validate_curve_params", counting)
+    reg = CurveRegistry()
+    assert validated == []
+    for _ in range(3):
+        reg.get("secp256k1")
+    reg.get("SECP256K1")
+    assert validated == ["secp256k1"]
+    reg.get("p256")
+    assert validated == ["secp256k1", "p256"]
+
+
+def test_broken_builtin_refused_on_get(monkeypatch, tmp_path):
+    broken = tuple(
+        row[:7] + (row[7] + 2,) + row[8:] if row[0] == "secp256k1" else row
+        for row in registry_module._BUILTINS
+    )
+    monkeypatch.setattr(registry_module, "_BUILTINS", broken)
+    reg = CurveRegistry()
+    with pytest.raises(CurveValidationError) as err:
+        reg.get("secp256k1")
+    assert {chk.name for chk in err.value.report.failures()} & {
+        "order-prime",
+        "order-kills-base",
+    }
+    monkeypatch.chdir(tmp_path)
+    assert main(["keygen", "--curves", "secp256k1"]) == 2
+    assert not (tmp_path / "key.sec").exists()
