@@ -18,7 +18,6 @@ from mecdsa.curve import (
     decompress_point,
     is_on_curve,
     point_add,
-    point_neg,
     scalar_mul,
     validate_curve_params,
 )
@@ -59,7 +58,7 @@ from mecdsa.multi import (
     t_ecdsa_verify,
 )
 from mecdsa.opcount import OpCounts, Trace
-from mecdsa.registry import CurveRegistry, default_registry, get_curve, list_curves
+from mecdsa.registry import CurveRegistry, default_registry
 
 __version__ = "0.1.0"
 
@@ -93,17 +92,14 @@ __all__ = [
     "decompress_point",
     "default_registry",
     "encode_multisig",
-    "get_curve",
     "hash_to_int",
     "is_on_curve",
     "is_probable_prime",
     "keygen",
-    "list_curves",
     "mkeygen",
     "msign",
     "mverify",
     "point_add",
-    "point_neg",
     "scalar_mul",
     "sign",
     "sqrt_mod",

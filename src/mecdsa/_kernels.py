@@ -1,5 +1,5 @@
-"""Group-law kernels: field inversion, affine point negation and addition,
-and scalar multiplication by affine double-and-add.
+"""Group-law kernels: field inversion, affine point addition, and scalar
+multiplication by affine double-and-add.
 
 Points at this layer are ``None`` (the identity) or ``(x, y)`` tuples of
 canonical residues; no on-curve checking happens here, that is the
@@ -21,13 +21,6 @@ def mod_inv(a, m):
 # The group law inverts through this private name, so that wrapping the
 # public ``mod_inv`` to count calls sees only the scheme's own inversions.
 _inv = mod_inv
-
-
-def point_neg(pt, p):
-    if pt is None:
-        return None
-    x, y = pt
-    return (x, (p - y) % p)
 
 
 def _double(pt, a, p):

@@ -23,7 +23,7 @@ actual (elevated) counts and a retry flag, never silently dropped.
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from mecdsa import multi
 from mecdsa.ecdsa import ListNonceSource, SeededNonceSource
@@ -60,26 +60,6 @@ def predicted_counts(scheme: str, phase: str, t: int) -> OpCounts:
     return OpCounts(adds, 2 * t, t, t, 2 * t)
 
 
-@dataclass
-class MeasuredRun:
-    """Counts observed for one instrumented execution."""
-
-    scheme: str
-    phase: str
-    t: int
-    counts: OpCounts
-    retries: int = 0
-    restarts: int = 0
-
-    @property
-    def retried(self) -> bool:
-        return self.retries > 0 or self.restarts > 0
-
-    @property
-    def matches_predicted(self) -> bool:
-        return self.counts == predicted_counts(self.scheme, self.phase, self.t)
-
-
 def measure_counts(
     scheme: str,
     phase: str,
@@ -87,8 +67,9 @@ def measure_counts(
     keypair: MultiCurveKeypair,
     message: bytes,
     nonces: "list[int]",
-) -> MeasuredRun:
-    """Run one sign or verify with counting instrumentation.
+) -> Trace:
+    """Run one sign or verify with counting instrumentation and return its
+    trace.
 
     ``nonces`` feeds the signing side; for the verify phase the signature
     is produced first without instrumentation, then verified with it.
@@ -103,9 +84,7 @@ def measure_counts(
         ok = verify_fn(message, sig, keypair.q, config, trace)
         if not ok:
             raise AssertionError("genuine signature failed to verify")
-    return MeasuredRun(
-        scheme, phase, config.t, trace.counts, trace.retries, trace.restarts
-    )
+    return trace
 
 
 def ceil_log2(t: int) -> int:
@@ -264,7 +243,7 @@ def timing_bench(
                     t=config.t,
                     counted=trace.counts,
                     predicted=predicted_counts(scheme, phase, config.t),
-                    retried=trace.retries > 0 or trace.restarts > 0,
+                    retried=trace.retried,
                     wall_time=TimingStats.from_samples(times),
                     lengths=lengths,
                 )
@@ -306,9 +285,9 @@ def report_kv_lines(reports: "list[CostReport]") -> str:
     lines = []
     for rep in reports:
         prefix = f"{rep.scheme}.{rep.phase}"
-        for key, value in rep.counted.as_dict().items():
+        for key, value in asdict(rep.counted).items():
             lines.append(f"{prefix}.counted.{key} = {value}")
-        for key, value in rep.predicted.as_dict().items():
+        for key, value in asdict(rep.predicted).items():
             lines.append(f"{prefix}.predicted.{key} = {value}")
         lines.append(f"{prefix}.match = {'true' if rep.counts_match else 'false'}")
         lines.append(f"{prefix}.retried = {'true' if rep.retried else 'false'}")

@@ -29,12 +29,7 @@ from mecdsa.ecdsa import (
     format_signature,
     parse_signature,
 )
-from mecdsa.errors import (
-    CurveValidationError,
-    FormatError,
-    MecdsaError,
-    UnknownCurveError,
-)
+from mecdsa.errors import CurveValidationError, MecdsaError
 from mecdsa.multi import (
     MultiCurveConfig,
     MultiCurveKeypair,
@@ -80,6 +75,8 @@ def _read_text(path):
             return fh.read()
     except OSError as exc:
         raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        _fail_input(f"{path}: {exc}")
 
 
 def _write_text(path, text):
@@ -111,14 +108,15 @@ def _build_registry(curve_files) -> CurveRegistry:
     return registry
 
 
-def _resolve_config(names_csv, registry) -> MultiCurveConfig:
+def _curve_names(names_csv) -> "list[str]":
     names = [n.strip() for n in names_csv.split(",") if n.strip()]
     if not names:
         _fail_input("curve list is empty")
-    try:
-        return MultiCurveConfig(tuple(registry.get(n) for n in names))
-    except UnknownCurveError as exc:
-        _fail_input(str(exc))
+    return names
+
+
+def _resolve_config(names, registry) -> MultiCurveConfig:
+    return MultiCurveConfig(tuple(registry.get(n) for n in names))
 
 
 def _nonce_source(args) -> NonceSource:
@@ -141,7 +139,7 @@ def _load_key_file(path, registry, need_secret):
         if kv.get("version") != _FILE_VERSION:
             _fail_input(f"{path}: unsupported key file version {kv.get('version')!r}")
         names = [n.strip() for n in kv["curves"].split(",")]
-        config = MultiCurveConfig(tuple(registry.get(n) for n in names))
+        config = _resolve_config(names, registry)
         publics = tuple(
             decode_point(text, c)
             for text, c in zip(kv["q"].split(","), config.curves)
@@ -168,9 +166,12 @@ def _load_key_file(path, registry, need_secret):
 
 def _cmd_keygen(args):
     registry = _build_registry(args.curve_file)
-    config = _resolve_config(args.curves, registry)
+    config = _resolve_config(_curve_names(args.curves), registry)
     rng = _nonce_source(args)
-    keypair = mkeygen(config, rng)
+    try:
+        keypair = mkeygen(config, rng)
+    except ValueError as exc:  # the nonce source cannot draw below this order
+        _fail_input(str(exc))
     names = ",".join(c.name for c in config.curves)
     qs = ",".join(
         encode_point(q, c, compressed=False) for q, c in zip(keypair.q, config.curves)
@@ -200,12 +201,14 @@ def _cmd_sign(args):
     message = _read_message(getattr(args, "in"))
     nonces = _nonce_source(args)
     names = ",".join(c.name for c in config.curves)
-    if args.scheme == "mecdsa":
-        sig = msign(message, keypair, nonces)
-        sig_text = encode_multisig(sig).hex()
-    else:
-        sig = t_ecdsa_sign(message, keypair, nonces)
-        sig_text = ",".join(format_signature(pair) for pair in sig.pairs)
+    try:
+        if args.scheme == "mecdsa":
+            sig_text = encode_multisig(msign(message, keypair, nonces)).hex()
+        else:
+            pairs = t_ecdsa_sign(message, keypair, nonces).pairs
+            sig_text = ",".join(format_signature(pair) for pair in pairs)
+    except ValueError as exc:  # a --nonces entry outside [1, n-1]
+        _fail_input(str(exc))
     doc = _kv_document(
         [
             ("version", _FILE_VERSION),
@@ -257,11 +260,7 @@ def _cmd_curves(args):
         return EXIT_OK
     if args.curves_cmd == "show":
         registry = _build_registry(args.curve_file)
-        try:
-            params = registry.get(args.name)
-        except UnknownCurveError as exc:
-            _fail_input(str(exc))
-        sys.stdout.write(format_curve_config(params))
+        sys.stdout.write(format_curve_config(registry.get(args.name)))
         return EXIT_OK
     # validate
     text = _read_text(args.file)
@@ -276,12 +275,14 @@ def _cmd_curves(args):
 
 def _cmd_bench(args):
     registry = _build_registry(args.curve_file)
-    names = [n.strip() for n in args.curves.split(",") if n.strip()]
-    if not names:
-        _fail_input("curve list is empty")
+    names = _curve_names(args.curves)
     t = args.t if args.t is not None else len(names)
     if t < 1:
         _fail_input("t must be >= 1")
+    if args.iters < 1:
+        _fail_input("iters must be >= 1")
+    if args.length_samples < 1:
+        _fail_input("length-samples must be >= 1")
     if len(names) == 1:
         names = names * t
     elif t < len(names):
@@ -291,7 +292,7 @@ def _cmd_bench(args):
             f"t={t} but only {len(names)} curves given; pass one curve to "
             "repeat it, or list exactly t curves"
         )
-    config = _resolve_config(",".join(names), registry)
+    config = _resolve_config(names, registry)
     seed = hex_to_int(args.seed, "seed") if args.seed else 0
     reports = benchmod.timing_bench(
         config,
@@ -393,7 +394,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(exc.report, file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (FormatError, UnknownCurveError, MecdsaError) as exc:
+    except MecdsaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OSError as exc:

@@ -105,11 +105,6 @@ def _raw(pt: Point):
     return None if pt.is_infinity else (pt.x, pt.y)
 
 
-def point_neg(pt: Point, c: CurveParams) -> Point:
-    _require_on_curve(pt, c)
-    return _wrap(_kernels.point_neg(_raw(pt), c.p))
-
-
 def point_add(pt: Point, other: Point, c: CurveParams) -> Point:
     """Group law: identity, inverse pairs, tangent doubling, chord."""
     _require_on_curve(pt, c)
@@ -233,9 +228,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_curve_params(
-    c: CurveParams, strict: bool = True, rounds: int = 64
-) -> ValidationReport:
+def validate_curve_params(c: CurveParams, strict: bool = True) -> ValidationReport:
     """Run every parameter check and report each one pass/fail.
 
     Relaxed mode drops only the two order-size bounds, never an algebraic
@@ -253,7 +246,7 @@ def validate_curve_params(
         report.checks.append(CheckResult(name, passed, note))
         return passed
 
-    run("field-modulus-prime", lambda: is_probable_prime(c.p, rounds))
+    run("field-modulus-prime", lambda: is_probable_prime(c.p))
     run(
         "discriminant-nonzero",
         lambda: (4 * c.a**3 + 27 * c.b**2) % c.p != 0,
@@ -263,7 +256,7 @@ def validate_curve_params(
         "base-point-on-curve",
         lambda: not c.base.is_infinity and is_on_curve(c.base, c),
     )
-    run("order-prime", lambda: is_probable_prime(c.n, rounds))
+    run("order-prime", lambda: is_probable_prime(c.n))
     run(
         "order-kills-base",
         lambda: base_ok

@@ -44,17 +44,22 @@ class NonceSource:
         raise NotImplementedError
 
 
+def _rejection_draw(randbits, order: int) -> int:
+    """Draw l(order)-bit values from ``randbits`` until one is in [1, order-1]."""
+    if order < 3:
+        raise ValueError("order too small to draw from")
+    bits = order.bit_length()
+    while True:
+        k = randbits(bits)
+        if 1 <= k <= order - 1:
+            return k
+
+
 class SystemNonceSource(NonceSource):
     """Rejection sampling from the operating system CSPRNG."""
 
     def draw(self, order: int) -> int:
-        if order < 3:
-            raise ValueError("order too small to draw from")
-        bits = order.bit_length()
-        while True:
-            k = secrets.randbits(bits)
-            if 1 <= k <= order - 1:
-                return k
+        return _rejection_draw(secrets.randbits, order)
 
 
 class SeededNonceSource(NonceSource):
@@ -67,13 +72,7 @@ class SeededNonceSource(NonceSource):
         self._rng = random.Random(seed)
 
     def draw(self, order: int) -> int:
-        if order < 3:
-            raise ValueError("order too small to draw from")
-        bits = order.bit_length()
-        while True:
-            k = self._rng.getrandbits(bits)
-            if 1 <= k <= order - 1:
-                return k
+        return _rejection_draw(self._rng.getrandbits, order)
 
 
 class ListNonceSource(NonceSource):

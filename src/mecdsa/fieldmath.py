@@ -1,5 +1,6 @@
-"""Prime-field helpers: modular square roots and Miller-Rabin primality
-testing.  Field inversion lives with the group law in ``mecdsa._kernels``.
+"""Prime-field helpers: modular square roots and a fixed 64-round
+Miller-Rabin primality test.  Field inversion lives with the group law in
+``mecdsa._kernels``.
 
 Everything here is a plain function, safe to share between threads without
 locks.  None of it is constant-time; see the README for the security
@@ -54,14 +55,12 @@ def sqrt_mod(a: int, p: int) -> "int | None":
     return y
 
 
-def is_probable_prime(n: int, rounds: int = 64) -> bool:
-    """Miller-Rabin with ``rounds`` random bases.
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with 64 random bases: a composite passes with
+    probability at most 4^-64.
 
-    False for anything below 2 and for even n > 2.  64 rounds is the
-    validation default used for curve parameters.
+    False for anything below 2 and for even n > 2.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -73,7 +72,7 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(64):
         a = _MR_RNG.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -20,15 +20,6 @@ class OpCounts:
     ec_add: int = 0
     ec_mul: int = 0
 
-    def as_dict(self) -> "dict[str, int]":
-        return {
-            "field_add": self.field_add,
-            "field_mul": self.field_mul,
-            "field_inv": self.field_inv,
-            "ec_add": self.ec_add,
-            "ec_mul": self.ec_mul,
-        }
-
 
 @dataclass
 class Trace:
@@ -49,3 +40,8 @@ class Trace:
     r_values: "list[int]" = field(default_factory=list)
     retries: int = 0
     restarts: int = 0
+
+    @property
+    def retried(self) -> bool:
+        """True when a nonce was redrawn or the whole round restarted."""
+        return self.retries > 0 or self.restarts > 0

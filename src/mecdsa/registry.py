@@ -7,6 +7,11 @@ Custom curves arrive as flat key-value config documents and are validated
 when loaded, with a relaxed mode that drops only the order-size bounds so
 small test curves can be loaded.
 
+Lookups go through a ``CurveRegistry`` (``get``, ``names``,
+``list_curves``, ``load_custom``).  ``default_registry()`` is the shared
+built-ins-only instance; a caller that loads custom curves builds its own,
+as every CLI command does.
+
 A registry is append-only: entries are never removed, so nothing that
 captured a CurveParams can be left dangling.  ``load_custom`` needs
 exclusive access; reading is freely concurrent (two concurrent first
@@ -158,12 +163,6 @@ class CurveRegistry:
             self._entries[name] = RegistryEntry(params, source)
         self._unvalidated = set(self._entries)
 
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, name: str):
-        return name.lower() in self._entries
-
     def names(self) -> "list[str]":
         return sorted(self._entries)
 
@@ -206,11 +205,3 @@ def default_registry() -> CurveRegistry:
     """The shared built-ins-only registry (each curve validated at most
     once per process)."""
     return CurveRegistry()
-
-
-def get_curve(name: str) -> CurveParams:
-    return default_registry().get(name)
-
-
-def list_curves() -> "list[tuple[str, int, str]]":
-    return default_registry().list_curves()

@@ -244,6 +244,67 @@ def test_degenerate_field_modulus_exits_2_without_traceback(workdir, modulus):
         assert result.stderr.startswith("error: ") and ">= 2" in result.stderr
 
 
+NOT_UTF8 = b"\xff\xfe not UTF-8\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sign", "--key", "bad.txt", "--in", "m.bin", "--out", "x.sig"],
+        ["verify", "--public", "bad.txt", "--in", "m.bin", "--sig", "m.sig"],
+        ["verify", "--public", "key.pub", "--in", "m.bin", "--sig", "bad.txt"],
+        ["curves", "validate", "bad.txt"],
+        ["curves", "list", "--curve-file", "bad.txt"],
+    ],
+    ids=["sign-key", "verify-public", "verify-sig", "curves-validate", "curve-file"],
+)
+def test_non_utf8_file_exits_2(workdir, toy_file, capsys, argv):
+    keygen_toy(workdir, toy_file)
+    (workdir / "m.bin").write_bytes(b"m")
+    sign = ["sign", "--key", "key.sec", "--in", "m.bin", "--out", "m.sig", "--seed", "3"]
+    assert main(sign + ["--curve-file", toy_file]) == 0
+    (workdir / "bad.txt").write_bytes(NOT_UTF8)
+    if argv[0] != "curves":
+        argv = argv + ["--curve-file", toy_file]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad.txt: ") and err.count("\n") == 1, err
+
+
+def test_non_utf8_file_exits_2_without_traceback(workdir):
+    (workdir / "bad.txt").write_bytes(NOT_UTF8)
+    result = run_cli_process("curves", "validate", "bad.txt")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: bad.txt: ")
+
+
+@pytest.mark.parametrize("scheme", ["mecdsa", "t-ecdsa"])
+@pytest.mark.parametrize("nonce", ["0", format(TEST17.n, "x")])
+def test_out_of_range_nonce_exits_2(workdir, toy_file, capsys, scheme, nonce):
+    keygen_toy(workdir, toy_file)
+    (workdir / "m.bin").write_bytes(b"m")
+    argv = ["sign", "--key", "key.sec", "--in", "m.bin", "--out", "m.sig"]
+    argv += ["--scheme", scheme, "--nonces", nonce, "--curve-file", toy_file]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: nonce {int(nonce, 16)} outside [1, 18]\n"
+    assert not (workdir / "m.sig").exists()
+
+
+def test_keygen_order_too_small_exits_2(workdir, capsys):
+    # passes relaxed validation (n = 2 is prime and kills the base point),
+    # but no nonce source can draw from [1, 1]
+    tiny = "name = tiny\np = 5\na = 0\nb = 1\nbase = 040400\nn = 2\nh = 3\nstrict = false\n"
+    (workdir / "tiny.conf").write_text(tiny)
+    for seed in ([], ["--seed", "3"]):
+        argv = ["keygen", "--curves", "tiny", "--curve-file", "tiny.conf", *seed]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: order too small to draw from\n"
+
+
 def test_bench_counts_match_and_report(workdir, capsys):
     code = main(
         [
@@ -277,6 +338,9 @@ def test_bench_t1_lengths_coincide(workdir, capsys):
 def test_bench_bad_flags(workdir):
     assert main(["bench", "--curves", "secp256k1,p256", "--t", "3"]) == 2
     assert main(["bench", "--curves", "", "--t", "1"]) == 2
+    assert main(["bench", "--iters", "0"]) == 2
+    assert main(["bench", "--iters", "-1"]) == 2
+    assert main(["bench", "--length-samples", "0"]) == 2
 
 
 def test_console_script_entry_point(workdir):

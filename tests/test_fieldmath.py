@@ -98,7 +98,7 @@ def test_probable_prime_trivia():
 
 def test_probable_prime_secp256k1_modulus():
     p = default_registry().get("secp256k1").p
-    assert is_probable_prime(p, rounds=64)
+    assert is_probable_prime(p)
 
 
 def test_probable_prime_agrees_with_sieve_below_million():
@@ -109,9 +109,4 @@ def test_probable_prime_agrees_with_sieve_below_million():
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     for m in range(limit):
-        assert is_probable_prime(m, rounds=64) == bool(sieve[m]), m
-
-
-def test_probable_prime_rejects_bad_rounds():
-    with pytest.raises(ValueError):
-        is_probable_prime(17, rounds=0)
+        assert is_probable_prime(m) == bool(sieve[m]), m

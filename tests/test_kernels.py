@@ -42,15 +42,6 @@ def test_point_add_matches_chord_tangent_on_full_toy_table(c):
             ), (c.name, p1, p2)
 
 
-def test_point_neg_is_the_additive_inverse():
-    for c in TOYS:
-        for raw in enum_points(c.a, c.b, c.p):
-            neg = _kernels.point_neg(raw, c.p)
-            assert chord_tangent_add(raw, neg, c.a, c.p) is None
-            if raw is not None:
-                assert neg[0] == raw[0] and 0 <= neg[1] < c.p
-
-
 def test_two_torsion_chains():
     # y^2 = x^3 - x over F_23 has three y = 0 points of order two
     p, a = 23, 22
