@@ -1,5 +1,5 @@
-"""Cost-model harness: predicted vs measured operation counts, signature
-length accounting, and wall-clock timing.
+"""Cost-model report: predicted vs measured operation counts and signature
+length accounting.
 
 Counting granularity is the algorithm step (see ``mecdsa.opcount``); the
 per-execution predictions for t curves are
@@ -16,17 +16,15 @@ bit length of the order.  The t - 1 slack on the shared r is generous;
 the tight variant replaces it with ceil(log2 t) and is reported too,
 without changing any wire format.
 
-Timings are informational only.  Retried runs are reported with their
-actual (elevated) counts and a retry flag, never silently dropped.
+Retried runs are reported with their actual (elevated) counts and a retry
+flag, never silently dropped.
 """
 
 import random
-import statistics
-import time
 from dataclasses import asdict, dataclass
 
 from mecdsa import multi
-from mecdsa.ecdsa import ListNonceSource, SeededNonceSource
+from mecdsa.ecdsa import NonceSource, SeededNonceSource
 from mecdsa.multi import MultiCurveConfig, MultiCurveKeypair, mkeygen
 from mecdsa.opcount import OpCounts, Trace
 
@@ -39,13 +37,6 @@ def _check_scheme_phase(scheme: str, phase: str):
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if phase not in PHASES:
         raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-
-
-def _scheme_functions(scheme: str):
-    """The (sign, verify) pair of a scheme."""
-    if scheme == "mecdsa":
-        return multi.msign, multi.mverify
-    return multi.t_ecdsa_sign, multi.t_ecdsa_verify
 
 
 def predicted_counts(scheme: str, phase: str, t: int) -> OpCounts:
@@ -66,7 +57,7 @@ def measure_counts(
     config: MultiCurveConfig,
     keypair: MultiCurveKeypair,
     message: bytes,
-    nonces: "list[int]",
+    nonces: NonceSource,
 ) -> Trace:
     """Run one sign or verify with counting instrumentation and return its
     trace.
@@ -75,12 +66,15 @@ def measure_counts(
     is produced first without instrumentation, then verified with it.
     """
     _check_scheme_phase(scheme, phase)
-    sign_fn, verify_fn = _scheme_functions(scheme)
+    if scheme == "mecdsa":
+        sign_fn, verify_fn = multi.msign, multi.mverify
+    else:
+        sign_fn, verify_fn = multi.t_ecdsa_sign, multi.t_ecdsa_verify
     trace = Trace()
     if phase == "sign":
-        sign_fn(message, keypair, ListNonceSource(nonces), trace)
+        sign_fn(message, keypair, nonces, trace)
     else:
-        sig = sign_fn(message, keypair, ListNonceSource(nonces))
+        sig = sign_fn(message, keypair, nonces)
         ok = verify_fn(message, sig, keypair.q, config, trace)
         if not ok:
             raise AssertionError("genuine signature failed to verify")
@@ -154,26 +148,11 @@ def signature_length_report(
         message = msg_rng.randbytes(64)
         m_bits.append(_multisig_payload_bits(multi.msign(message, keypair, rng)))
         b_bits.append(_tecdsa_payload_bits(multi.t_ecdsa_sign(message, keypair, rng)))
-    report.mecdsa_measured_mean = statistics.fmean(m_bits)
+    report.mecdsa_measured_mean = sum(m_bits) / len(m_bits)
     report.mecdsa_measured_max = max(m_bits)
-    report.tecdsa_measured_mean = statistics.fmean(b_bits)
+    report.tecdsa_measured_mean = sum(b_bits) / len(b_bits)
     report.tecdsa_measured_max = max(b_bits)
     return report
-
-
-@dataclass
-class TimingStats:
-    iterations: int
-    mean: float
-    median: float
-
-    @classmethod
-    def from_samples(cls, samples: "list[float]") -> "TimingStats":
-        return cls(
-            iterations=len(samples),
-            mean=statistics.fmean(samples),
-            median=statistics.median(samples),
-        )
 
 
 @dataclass
@@ -182,11 +161,9 @@ class CostReport:
 
     scheme: str
     phase: str
-    t: int
     counted: OpCounts
     predicted: OpCounts
     retried: bool
-    wall_time: TimingStats
     lengths: LengthReport
 
     @property
@@ -194,57 +171,32 @@ class CostReport:
         return self.counted == self.predicted
 
 
-def timing_bench(
-    config: MultiCurveConfig,
-    iterations: int = 10,
-    seed: int = 0,
-    length_samples: int = 100,
+def cost_reports(
+    config: MultiCurveConfig, seed: int = 0, length_samples: int = 100
 ) -> "list[CostReport]":
-    """Time and count all four scheme x phase cells.
+    """Count all four scheme x phase cells.
 
-    Messages and nonces are generated deterministically from the seed, so
-    operation counts repeat exactly across runs; wall times of course do
-    not.
+    The keypair, the message and each cell's nonces are drawn from the
+    seed, and every cell gets a fresh nonce source, so the verify cells
+    check the signatures the sign cells counted and the counts repeat
+    exactly across runs.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     lengths = signature_length_report(config, samples=length_samples, seed=seed)
     keypair = mkeygen(config, SeededNonceSource(seed + 1))
+    message = random.Random(seed).randbytes(64)
     reports = []
     for scheme in SCHEMES:
-        sign_fn, verify_fn = _scheme_functions(scheme)
-        msg_rng = random.Random(seed)
-        nonce_rng = SeededNonceSource(seed + 2)
-        sign_times, verify_times = [], []
-        sign_trace, verify_trace = Trace(), Trace()
-        first = True
-        for _ in range(iterations):
-            message = msg_rng.randbytes(64)
-            t0 = time.perf_counter()
-            sig = sign_fn(message, keypair, nonce_rng, sign_trace if first else None)
-            t1 = time.perf_counter()
-            ok = verify_fn(
-                message, sig, keypair.q, config, verify_trace if first else None
+        for phase in PHASES:
+            trace = measure_counts(
+                scheme, phase, config, keypair, message, SeededNonceSource(seed + 2)
             )
-            t2 = time.perf_counter()
-            if not ok:
-                raise AssertionError("genuine signature failed to verify")
-            sign_times.append(t1 - t0)
-            verify_times.append(t2 - t1)
-            first = False
-        for phase, times, trace in (
-            ("sign", sign_times, sign_trace),
-            ("verify", verify_times, verify_trace),
-        ):
             reports.append(
                 CostReport(
                     scheme=scheme,
                     phase=phase,
-                    t=config.t,
                     counted=trace.counts,
                     predicted=predicted_counts(scheme, phase, config.t),
                     retried=trace.retried,
-                    wall_time=TimingStats.from_samples(times),
                     lengths=lengths,
                 )
             )
@@ -255,7 +207,7 @@ def format_report_table(reports: "list[CostReport]") -> str:
     """Human-readable comparison table, one row per scheme x phase."""
     header = (
         f"{'scheme':<9} {'phase':<7} {'Fp.add':>6} {'Fp.mul':>6} {'Fp.inv':>6} "
-        f"{'EC.add':>6} {'EC.mul':>6} {'match':>6} {'median_s':>10}"
+        f"{'EC.add':>6} {'EC.mul':>6} {'match':>6}"
     )
     lines = [header, "-" * len(header)]
     for rep in reports:
@@ -263,7 +215,7 @@ def format_report_table(reports: "list[CostReport]") -> str:
         lines.append(
             f"{rep.scheme:<9} {rep.phase:<7} {c.field_add:>6} {c.field_mul:>6} "
             f"{c.field_inv:>6} {c.ec_add:>6} {c.ec_mul:>6} "
-            f"{'yes' if rep.counts_match else 'NO':>6} {rep.wall_time.median:>10.6f}"
+            f"{'yes' if rep.counts_match else 'NO':>6}"
         )
     if reports:
         ln = reports[0].lengths
@@ -291,8 +243,6 @@ def report_kv_lines(reports: "list[CostReport]") -> str:
             lines.append(f"{prefix}.predicted.{key} = {value}")
         lines.append(f"{prefix}.match = {'true' if rep.counts_match else 'false'}")
         lines.append(f"{prefix}.retried = {'true' if rep.retried else 'false'}")
-        lines.append(f"{prefix}.median_seconds = {rep.wall_time.median:.9f}")
-        lines.append(f"{prefix}.mean_seconds = {rep.wall_time.mean:.9f}")
     if reports:
         ln = reports[0].lengths
         lines.append(f"length.t = {ln.t}")

@@ -279,8 +279,6 @@ def _cmd_bench(args):
     t = args.t if args.t is not None else len(names)
     if t < 1:
         _fail_input("t must be >= 1")
-    if args.iters < 1:
-        _fail_input("iters must be >= 1")
     if args.length_samples < 1:
         _fail_input("length-samples must be >= 1")
     if len(names) == 1:
@@ -294,11 +292,8 @@ def _cmd_bench(args):
         )
     config = _resolve_config(names, registry)
     seed = hex_to_int(args.seed, "seed") if args.seed else 0
-    reports = benchmod.timing_bench(
-        config,
-        iterations=args.iters,
-        seed=seed,
-        length_samples=args.length_samples,
+    reports = benchmod.cost_reports(
+        config, seed=seed, length_samples=args.length_samples
     )
     print(benchmod.format_report_table(reports))
     print()
@@ -361,14 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("file")
     q.set_defaults(fn=_cmd_curves)
 
-    p = sub.add_parser("bench", help="operation counts, lengths, and timings")
+    p = sub.add_parser("bench", help="operation counts and signature lengths")
     p.add_argument(
         "--curves",
         default=DEFAULT_CURVES,
         help=f"comma-separated curve names (default: {DEFAULT_CURVES})",
     )
     p.add_argument("--t", type=int, default=None, help="number of curves")
-    p.add_argument("--iters", type=int, default=10, help="timing iterations")
     p.add_argument(
         "--length-samples",
         type=int,

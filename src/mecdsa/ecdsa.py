@@ -29,7 +29,14 @@ from mecdsa.opcount import Trace
 
 
 def hash_to_int(message: bytes) -> int:
-    """SHA-256 digest of the message as a big-endian integer."""
+    """SHA-256 digest of the message as a big-endian integer.
+
+    The whole 256-bit digest is used; the signing and verification
+    formulas then reduce it mod n.  FIPS 186-4 and SEC 1 instead keep only
+    the leftmost l(n) bits of the digest, l(n) being the bit length of the
+    order.  The two rules agree when l(n) >= 256, as on all four built-in
+    curves, and differ on smaller orders (P-224, the toy curves).
+    """
     return int.from_bytes(hashlib.sha256(message).digest(), "big")
 
 
@@ -117,7 +124,10 @@ class EcdsaSignature:
 
 def keygen(curve: CurveParams, rng: NonceSource) -> Keypair:
     """Draw d uniformly from [1, n-1] and compute Q = d*P."""
-    d = rng.draw(curve.n)
+    try:
+        d = rng.draw(curve.n)
+    except ValueError as exc:
+        raise ValueError(f"cannot make a key on {curve.name}: {exc}") from None
     q = curvemod.scalar_mul(d, curve.base, curve)
     if q.is_infinity:
         raise ValueError(f"degenerate key on {curve.name}: d*P = O")

@@ -119,7 +119,9 @@ def test_criterion_1_operation_counts_match_predictions():
         config, keypair, ks, message = fixed_setup(t)
         for scheme in ("mecdsa", "t-ecdsa"):
             for phase in ("sign", "verify"):
-                run = measure_counts(scheme, phase, config, keypair, message, ks)
+                run = measure_counts(
+                    scheme, phase, config, keypair, message, ListNonceSource(ks)
+                )
                 assert not run.retried, (scheme, phase, t)
                 assert run.counts == predicted_counts(scheme, phase, t), (
                     scheme,

@@ -2,15 +2,16 @@ import pytest
 
 from mecdsa.bench import (
     ceil_log2,
+    cost_reports,
     format_report_table,
     formula_sig_bits,
     measure_counts,
     predicted_counts,
     report_kv_lines,
     signature_length_report,
-    timing_bench,
 )
 from mecdsa.curve import scalar_mul
+from mecdsa.ecdsa import ListNonceSource
 from mecdsa.multi import MultiCurveConfig, MultiCurveKeypair
 from mecdsa.opcount import OpCounts
 from mecdsa.registry import default_registry
@@ -54,7 +55,7 @@ def test_predicted_counts_rejects_bad_inputs():
 @pytest.mark.parametrize("phase", ["sign", "verify"])
 def test_measured_counts_equal_predictions(t, scheme, phase):
     config, keypair, ks, message = fixed_setup(t)
-    run = measure_counts(scheme, phase, config, keypair, message, ks)
+    run = measure_counts(scheme, phase, config, keypair, message, ListNonceSource(ks))
     assert not run.retried
     assert run.counts == predicted_counts(scheme, phase, t)
 
@@ -62,7 +63,9 @@ def test_measured_counts_equal_predictions(t, scheme, phase):
 def test_forced_retry_exceeds_predictions():
     # k = 7 hits the x = 0 point of TEST17 (r_1 = 0), forcing a retry
     config, keypair, _ks, message = fixed_setup(1)
-    run = measure_counts("mecdsa", "sign", config, keypair, message, [7, 5])
+    run = measure_counts(
+        "mecdsa", "sign", config, keypair, message, ListNonceSource([7, 5])
+    )
     assert run.retried and run.retries == 1
     predicted = predicted_counts("mecdsa", "sign", 1)
     assert run.counts != predicted
@@ -112,9 +115,9 @@ def test_length_report_measured_within_formula_toys():
     assert report.mecdsa_measured_mean <= report.mecdsa_measured_max
 
 
-def test_timing_bench_shape_and_determinism():
+def test_cost_reports_shape_and_determinism():
     config = MultiCurveConfig((TEST17, TOY23))
-    reports = timing_bench(config, iterations=5, seed=21)
+    reports = cost_reports(config, seed=21)
     cells = {(rep.scheme, rep.phase) for rep in reports}
     assert cells == {
         ("mecdsa", "sign"),
@@ -122,28 +125,14 @@ def test_timing_bench_shape_and_determinism():
         ("t-ecdsa", "sign"),
         ("t-ecdsa", "verify"),
     }
-    again = timing_bench(config, iterations=5, seed=21)
-    for first, second in zip(reports, again):
-        assert first.counted == second.counted  # counts repeat, times need not
-        assert first.wall_time.iterations == 5
-
-
-def test_timing_bench_verify_grows_with_t():
-    # 2t scalar multiplications dominate verification; a 256-bit curve
-    # keeps that work far above timer noise on either backend
-    k1 = default_registry().get("secp256k1")
-    medians = []
-    for t in (1, 2, 3):
-        config = MultiCurveConfig((k1,) * t)
-        reports = timing_bench(config, iterations=10, seed=5, length_samples=1)
-        cell = next(r for r in reports if (r.scheme, r.phase) == ("mecdsa", "verify"))
-        medians.append(cell.wall_time.median)
-    assert medians[0] < medians[1] < medians[2]
+    again = cost_reports(config, seed=21)
+    assert [rep.counted for rep in reports] == [rep.counted for rep in again]
+    assert [rep.retried for rep in reports] == [rep.retried for rep in again]
 
 
 def test_report_formatting_contains_counts_and_lengths():
     config = MultiCurveConfig((TEST17, TOY23))
-    reports = timing_bench(config, iterations=2, seed=1)
+    reports = cost_reports(config, seed=1)
     table = format_report_table(reports)
     assert "mecdsa" in table and "t-ecdsa" in table
     assert "signature payload bits" in table
