@@ -36,7 +36,6 @@ from mecdsa.ecdsa import (
 from mecdsa.errors import (
     CurveValidationError,
     DuplicateCurveError,
-    FieldMismatchError,
     FormatError,
     InvalidPointError,
     MecdsaError,
@@ -69,7 +68,6 @@ __all__ = [
     "CurveValidationError",
     "DuplicateCurveError",
     "EcdsaSignature",
-    "FieldMismatchError",
     "FormatError",
     "INFINITY",
     "InvalidPointError",

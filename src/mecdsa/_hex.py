@@ -21,9 +21,3 @@ def hex_to_int(text: str, what: str = "integer") -> int:
     if not text or any(ch not in _HEX_DIGITS for ch in text):
         raise FormatError(f"{what}: not a hex string: {text!r}")
     return int(text, 16)
-
-
-def int_to_fixed_hex(value: int, width_bytes: int) -> str:
-    if value < 0 or value >= 1 << (8 * width_bytes):
-        raise ValueError(f"{value} does not fit in {width_bytes} bytes")
-    return format(value, "0%dx" % (2 * width_bytes))

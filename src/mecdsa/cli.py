@@ -29,7 +29,7 @@ from mecdsa.ecdsa import (
     format_signature,
     parse_signature,
 )
-from mecdsa.errors import CurveValidationError, MecdsaError
+from mecdsa.errors import CurveValidationError, FormatError, MecdsaError
 from mecdsa.multi import (
     MultiCurveConfig,
     MultiCurveKeypair,
@@ -133,19 +133,26 @@ def _kv_document(pairs) -> str:
     return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
-def _load_key_file(path, registry, need_secret):
-    kv = parse_kv_lines(_read_text(path))
+def _read_document(path) -> "dict[str, str]":
+    """The "key = value" pairs of a key or signature file of version 1."""
     try:
-        if kv.get("version") != _FILE_VERSION:
-            _fail_input(f"{path}: unsupported key file version {kv.get('version')!r}")
+        kv = parse_kv_lines(_read_text(path))
+    except FormatError as exc:
+        _fail_input(f"{path}: {exc}")
+    if kv.get("version") != _FILE_VERSION:
+        _fail_input(f"{path}: unsupported file version {kv.get('version', '')!r}")
+    return kv
+
+
+def _load_key_file(path, registry, need_secret):
+    kv = _read_document(path)
+    try:
         names = [n.strip() for n in kv["curves"].split(",")]
         config = _resolve_config(names, registry)
-        publics = tuple(
-            decode_point(text, c)
-            for text, c in zip(kv["q"].split(","), config.curves)
-        )
-        if len(publics) != config.t:
+        q_texts = kv["q"].split(",")
+        if len(q_texts) != config.t:
             _fail_input(f"{path}: q list does not match curve list")
+        publics = tuple(decode_point(q, c) for q, c in zip(q_texts, config.curves))
         if not need_secret:
             return config, None, publics
         if "d" not in kv:
@@ -173,9 +180,7 @@ def _cmd_keygen(args):
     except ValueError as exc:  # the nonce source cannot draw below this order
         _fail_input(str(exc))
     names = ",".join(c.name for c in config.curves)
-    qs = ",".join(
-        encode_point(q, c, compressed=False) for q, c in zip(keypair.q, config.curves)
-    )
+    qs = ",".join(encode_point(q, c) for q, c in zip(keypair.q, config.curves))
     secret = _kv_document(
         [
             ("version", _FILE_VERSION),
@@ -226,10 +231,8 @@ def _cmd_verify(args):
     registry = _build_registry(args.curve_file)
     config, _, publics = _load_key_file(args.public, registry, need_secret=False)
     message = _read_message(getattr(args, "in"))
-    kv = parse_kv_lines(_read_text(args.sig))
+    kv = _read_document(args.sig)
     try:
-        if kv.get("version") != _FILE_VERSION:
-            _fail_input(f"{args.sig}: unsupported signature file version")
         scheme = kv["scheme"]
         sig_names = [n.strip() for n in kv["curves"].split(",")]
         if sig_names != [c.name for c in config.curves]:

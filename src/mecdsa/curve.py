@@ -5,13 +5,15 @@ Curve arithmetic delegates to ``mecdsa._kernels``, one plain-Python
 module; this module owns the typed surface and all checking.  Affine
 coordinates with one field inversion per addition are the ground truth
 here, and the test suite checks them against independent oracles.
+
+``is_on_curve`` never raises.  Every operation that needs a curve point
+refuses one off the curve or outside the field with ``InvalidPointError``.
 """
 
 from dataclasses import dataclass, field
 
 from mecdsa import _kernels
-from mecdsa._hex import int_to_fixed_hex
-from mecdsa.errors import FieldMismatchError, FormatError, InvalidPointError
+from mecdsa.errors import FormatError, InvalidPointError
 from mecdsa.fieldmath import is_probable_prime, sqrt_mod
 
 
@@ -77,18 +79,13 @@ class CurveParams:
         return (self.p.bit_length() + 7) // 8
 
 
-def _check_coords(pt: Point, c: CurveParams):
-    if pt.x >= c.p or pt.y >= c.p:
-        raise FieldMismatchError(
-            f"point {pt!r} has coordinates outside the field of {c.name}"
-        )
-
-
 def is_on_curve(pt: Point, c: CurveParams) -> bool:
-    """True for the identity and for points satisfying the curve equation."""
+    """True for the identity and for field points satisfying the curve
+    equation; False otherwise, including coordinates >= p."""
     if pt.is_infinity:
         return True
-    _check_coords(pt, c)
+    if pt.x >= c.p or pt.y >= c.p:
+        return False
     return (pt.y * pt.y - (pt.x * pt.x * pt.x + c.a * pt.x + c.b)) % c.p == 0
 
 
@@ -152,15 +149,14 @@ def compress_point(pt: Point, c: CurveParams) -> bytes:
     return prefix + pt.x.to_bytes(c.coord_bytes, "big")
 
 
-def encode_point(pt: Point, c: CurveParams, compressed: bool = True) -> str:
-    """Text form: "inf", or prefix-tagged lowercase hex at fixed width."""
+def encode_point(pt: Point, c: CurveParams) -> str:
+    """Text form: "inf", or 04 | x | y as fixed-width lowercase hex.  The
+    compressed text form is ``compress_point(pt, c).hex()``."""
     if pt.is_infinity:
         return "inf"
-    if compressed:
-        return compress_point(pt, c).hex()
     _require_on_curve(pt, c)
     w = c.coord_bytes
-    return "04" + int_to_fixed_hex(pt.x, w) + int_to_fixed_hex(pt.y, w)
+    return (b"\x04" + pt.x.to_bytes(w, "big") + pt.y.to_bytes(w, "big")).hex()
 
 
 def decode_point(text: str, c: CurveParams) -> Point:
@@ -186,12 +182,7 @@ def decode_point(text: str, c: CurveParams) -> Point:
             int.from_bytes(blob[1 : 1 + w], "big"),
             int.from_bytes(blob[1 + w :], "big"),
         )
-        try:
-            _require_on_curve(pt, c)
-        except FieldMismatchError:
-            raise InvalidPointError(
-                f"{pt!r} has coordinates outside the field of {c.name}"
-            ) from None
+        _require_on_curve(pt, c)
         return pt
     raise FormatError(f"bad point prefix {prefix:#04x}")
 

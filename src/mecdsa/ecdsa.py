@@ -24,7 +24,7 @@ from mecdsa import _kernels
 from mecdsa import curve as curvemod
 from mecdsa._hex import hex_to_int, int_to_hex
 from mecdsa.curve import CurveParams, Point
-from mecdsa.errors import FieldMismatchError, FormatError, NonceExhaustedError
+from mecdsa.errors import FormatError, NonceExhaustedError
 from mecdsa.opcount import Trace
 
 
@@ -163,10 +163,7 @@ def _sign_scalar(k: int, d: int, r: int, e: int, n: int, trace: "Trace | None") 
 
 def _public_key_ok(q: Point, curve: CurveParams) -> bool:
     """Q is not O and lies on the curve."""
-    try:
-        return not q.is_infinity and curvemod.is_on_curve(q, curve)
-    except FieldMismatchError:
-        return False
+    return not q.is_infinity and curvemod.is_on_curve(q, curve)
 
 
 def _recover_r(

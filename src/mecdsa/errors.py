@@ -5,12 +5,9 @@ class MecdsaError(Exception):
     """Base class for all package errors."""
 
 
-class FieldMismatchError(MecdsaError):
-    """A point coordinate lies outside the curve's field."""
-
-
 class InvalidPointError(MecdsaError):
-    """A point is not on the curve, or an x-coordinate has no square root."""
+    """A point is not on the curve (a coordinate outside the field
+    included), or an x-coordinate has no square root."""
 
 
 class FormatError(MecdsaError):

@@ -145,7 +145,7 @@ def format_curve_config(c: CurveParams, strict: bool = True) -> str:
         f"p = {int_to_hex(c.p)}",
         f"a = {int_to_hex(c.a)}",
         f"b = {int_to_hex(c.b)}",
-        f"base = {encode_point(c.base, c, compressed=False)}",
+        f"base = {encode_point(c.base, c)}",
         f"n = {int_to_hex(c.n)}",
         f"h = {int_to_hex(c.h)}",
         f"strict = {'true' if strict else 'false'}",

@@ -322,7 +322,7 @@ def test_criterion_7_appendix_fidelity():
     from mecdsa.curve import decode_point, encode_point
 
     pt = decode_point(compressed, k1)
-    assert encode_point(pt, k1, compressed=False) == uncompressed
+    assert encode_point(pt, k1) == uncompressed
     p256 = registry.get("p256")
     compressed = "03" + "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296"
     uncompressed = (
@@ -331,7 +331,7 @@ def test_criterion_7_appendix_fidelity():
         "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5"
     )
     pt = decode_point(compressed, p256)
-    assert encode_point(pt, p256, compressed=False) == uncompressed
+    assert encode_point(pt, p256) == uncompressed
     # sampled single-hex-digit mutations of every stored parameter
     rnd = random.Random(77)
     hexdigits = "0123456789abcdef"

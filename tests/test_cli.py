@@ -207,6 +207,51 @@ def test_tampered_secret_scalar_exits_2(workdir, toy_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["sign", "verify"])
+def test_extra_q_entries_exit_2(workdir, toy_file, capsys, command):
+    # a t = 2 key with a third q entry that is not a point at all
+    argv = ["keygen", "--curves", "test17,test17", "--curve-file", toy_file]
+    assert main([*argv, "--seed", "a5"]) == 0
+    (workdir / "m.bin").write_bytes(b"m")
+    sign = ["sign", "--key", "key.sec", "--in", "m.bin", "--out", "m.sig"]
+    assert main([*sign, "--seed", "3", "--curve-file", toy_file]) == 0
+    path = "key.sec" if command == "sign" else "key.pub"
+    doc = (workdir / path).read_text()
+    q = parse_kv_lines(doc)["q"]
+    (workdir / path).write_text(doc.replace(q, q + ",zzzz-not-a-point"))
+    if command == "sign":
+        argv = sign
+    else:
+        argv = ["verify", "--public", "key.pub", "--in", "m.bin", "--sig", "m.sig"]
+    capsys.readouterr()
+    assert main([*argv, "--curve-file", toy_file]) == 2
+    assert capsys.readouterr().err == f"error: {path}: q list does not match curve list\n"
+
+
+@pytest.mark.parametrize("path", ["key.sec", "key.pub", "m.sig"])
+def test_bad_document_names_its_file(workdir, toy_file, capsys, path):
+    keygen_toy(workdir, toy_file)
+    (workdir / "m.bin").write_bytes(b"m")
+    sign = ["sign", "--key", "key.sec", "--in", "m.bin", "--out", "m.sig"]
+    verify = ["verify", "--public", "key.pub", "--in", "m.bin", "--sig", "m.sig"]
+    assert main([*sign, "--seed", "3", "--curve-file", toy_file]) == 0
+    argv = sign if path == "key.sec" else verify
+    good = (workdir / path).read_text()
+    lines = good.count("\n")
+
+    (workdir / path).write_text(good + "garbage line\n")
+    capsys.readouterr()
+    assert main([*argv, "--curve-file", toy_file]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {path}: line {lines + 1}: expected 'key = value': 'garbage line'\n"
+    )
+
+    (workdir / path).write_text(good.replace("version = 1", "version = 2"))
+    assert main([*argv, "--curve-file", toy_file]) == 2
+    assert capsys.readouterr().err == f"error: {path}: unsupported file version '2'\n"
+
+
 def test_curves_list_and_show(workdir, capsys):
     assert main(["curves", "list"]) == 0
     out = capsys.readouterr().out
