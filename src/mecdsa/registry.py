@@ -1,10 +1,12 @@
 """Named curve parameter sets and user-supplied curve configs.
 
 Built-ins carry the authoritative constants from the public standards
-(FIPS 186-4, GB/T 32918, SEC 2 v2) and are strictly validated the first
-time ``get`` returns them, so a process pays only for the curves it uses.
-Custom curves arrive as flat key-value config documents and are validated
-when loaded, with a relaxed mode that drops only the order-size bounds so
+(FIPS 186-4, GB/T 32918, SEC 2 v2).  They are fixed facts of the program,
+built once at import and checked by the test suite (strict validation,
+and a comparison with OpenSSL's explicit parameters), not again in every
+process.  Validation runs where parameters come from outside: custom
+curves arrive as flat key-value config documents and are validated when
+loaded, with a relaxed mode that drops only the order-size bounds so
 small test curves can be loaded.
 
 Lookups go through a ``CurveRegistry`` (``get``, ``names``,
@@ -14,8 +16,7 @@ as every CLI command does.
 
 A registry is append-only: entries are never removed, so nothing that
 captured a CurveParams can be left dangling.  ``load_custom`` needs
-exclusive access; reading is freely concurrent (two concurrent first
-``get``s of one built-in may both validate it, which is harmless).
+exclusive access; reading is freely concurrent.
 """
 
 import functools
@@ -24,7 +25,6 @@ from dataclasses import dataclass, replace
 from mecdsa._hex import hex_to_int, int_to_hex
 from mecdsa.curve import (
     CurveParams,
-    ValidationReport,
     decode_point,
     encode_point,
     validate_curve_params,
@@ -82,6 +82,14 @@ _CONFIG_KEYS = ("name", "p", "a", "b", "base", "n", "h", "strict")
 class RegistryEntry:
     params: CurveParams
     source: str
+
+
+_BUILTIN_ENTRIES = {
+    name: RegistryEntry(
+        CurveParams(name=name, p=p, a=a, b=b, gx=gx, gy=gy, n=n, h=h), source
+    )
+    for name, source, p, a, b, gx, gy, n, h in _BUILTINS
+}
 
 
 def parse_kv_lines(text: str) -> "dict[str, str]":
@@ -157,27 +165,17 @@ class CurveRegistry:
     """Case-insensitive name -> CurveParams map, built-ins included."""
 
     def __init__(self):
-        self._entries: "dict[str, RegistryEntry]" = {}
-        for name, source, p, a, b, gx, gy, n, h in _BUILTINS:
-            params = CurveParams(name=name, p=p, a=a, b=b, gx=gx, gy=gy, n=n, h=h)
-            self._entries[name] = RegistryEntry(params, source)
-        self._unvalidated = set(self._entries)
+        self._entries: "dict[str, RegistryEntry]" = dict(_BUILTIN_ENTRIES)
 
     def names(self) -> "list[str]":
         return sorted(self._entries)
 
     def get(self, name: str) -> CurveParams:
-        """The named curve; a built-in is strictly validated on first use."""
-        key = name.lower()
-        entry = self._entries.get(key)
+        """The named curve, whatever the case of ``name``."""
+        entry = self._entries.get(name.lower())
         if entry is None:
             known = ", ".join(self.names())
             raise UnknownCurveError(f"unknown curve {name!r}; available: {known}")
-        if key in self._unvalidated:
-            report = validate_curve_params(entry.params, strict=True)
-            if not report.ok:
-                raise CurveValidationError(report)
-            self._unvalidated.discard(key)
         return entry.params
 
     def list_curves(self) -> "list[tuple[str, int, str]]":
@@ -202,6 +200,5 @@ class CurveRegistry:
 
 @functools.lru_cache(maxsize=1)
 def default_registry() -> CurveRegistry:
-    """The shared built-ins-only registry (each curve validated at most
-    once per process)."""
+    """The shared built-ins-only registry."""
     return CurveRegistry()

@@ -264,6 +264,17 @@ def test_curves_list_and_show(workdir, capsys):
     assert main(["curves", "show", "nosuch"]) == 2
 
 
+@pytest.mark.parametrize("name", ["p256", "secp256k1", "secp256r1", "sm2"])
+def test_shown_builtin_passes_validate(workdir, capsys, name):
+    # how a user checks a built-in at run time: show it, then validate it
+    assert main(["curves", "show", name]) == 0
+    (workdir / "f.conf").write_text(capsys.readouterr().out)
+    assert main(["curves", "validate", "f.conf"]) == 0
+    header, *checks = capsys.readouterr().out.splitlines()
+    assert header == f"validation of {name} (strict):"
+    assert checks and all(line.startswith("  PASS ") for line in checks), checks
+
+
 def test_curves_validate(workdir, toy_file, capsys):
     assert main(["curves", "validate", toy_file]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -339,6 +350,53 @@ def test_out_of_range_nonce_exits_2(workdir, toy_file, capsys, scheme, nonce):
     assert not (workdir / "m.sig").exists()
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_keygen_secret_file_is_never_readable_by_others(workdir, monkeypatch, capsys):
+    old_umask = os.umask(0o022)
+    try:
+        # an existing world-readable key.sec is restricted before d goes in
+        (workdir / "key.sec").write_text("old\n")
+        os.chmod(workdir / "key.sec", 0o644)
+        assert main(["keygen", "--seed", "1f"]) == 0
+        assert os.stat(workdir / "key.sec").st_mode & 0o777 == 0o600
+        os.remove(workdir / "key.pub")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("chmod refused")
+
+        # if the mode cannot be restricted, no secret is written at all
+        os.chmod(workdir / "key.sec", 0o644)
+        monkeypatch.setattr(os, "chmod", refuse)
+        capsys.readouterr()
+        assert main(["keygen", "--seed", "1f"]) == 3
+    finally:
+        os.umask(old_umask)
+    assert capsys.readouterr().err.startswith("error: cannot write key.sec: ")
+    assert "d =" not in (workdir / "key.sec").read_text()
+    assert not (workdir / "key.pub").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["keygen", "--seed", ""],
+        ["sign", "--key", "key.sec", "--in", "m.bin", "--out", "m.sig", "--seed", ""],
+        ["sign", "--key", "key.sec", "--in", "m.bin", "--out", "m.sig", "--nonces", ""],
+        ["bench", "--length-samples", "1", "--seed", ""],
+    ],
+    ids=["keygen-seed", "sign-seed", "sign-nonces", "bench-seed"],
+)
+def test_empty_seed_or_nonces_exits_2(workdir, toy_file, capsys, argv):
+    keygen_toy(workdir, toy_file)
+    (workdir / "m.bin").write_bytes(b"m")
+    before = (workdir / "key.sec").read_text()
+    capsys.readouterr()
+    assert main([*argv, "--curve-file", toy_file]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (workdir / "key.sec").read_text() == before
+    assert not (workdir / "m.sig").exists()
+
+
 def test_keygen_order_too_small_exits_2(workdir, capsys):
     # passes relaxed validation (n = 2 is prime and kills the base point),
     # but no nonce source can draw from [1, 1]
@@ -354,7 +412,7 @@ def test_keygen_order_too_small_exits_2(workdir, capsys):
 def test_bench_counts_match_and_report(workdir, capsys):
     code = main(
         [
-            "bench", "--t", "2", "--length-samples", "2", "--seed", "05",
+            "bench", "--length-samples", "2", "--seed", "05",
         ]
     )
     assert code == 0
@@ -370,7 +428,7 @@ def test_bench_counts_match_and_report(workdir, capsys):
 def test_bench_t1_lengths_coincide(workdir, capsys):
     code = main(
         [
-            "bench", "--curves", "secp256k1", "--t", "1", "--length-samples", "1",
+            "bench", "--curves", "secp256k1", "--length-samples", "1",
         ]
     )
     assert code == 0
@@ -383,7 +441,7 @@ def test_bench_t1_lengths_coincide(workdir, capsys):
 def test_bench_count_mismatch_exits_1(workdir, toy_file, capsys, seed, code):
     # seed 01's first nonce on TEST17 is k = 7, whose k*P has x = 0 (r = 0):
     # the retry adds counted steps the cost model does not predict
-    argv = ["bench", "--curve-file", toy_file, "--curves", "test17", "--t", "1"]
+    argv = ["bench", "--curve-file", toy_file, "--curves", "test17"]
     assert main([*argv, "--length-samples", "1", "--seed", seed]) == code
     out = capsys.readouterr().out
     retried = "true" if code else "false"
@@ -391,8 +449,7 @@ def test_bench_count_mismatch_exits_1(workdir, toy_file, capsys, seed, code):
 
 
 def test_bench_bad_flags(workdir):
-    assert main(["bench", "--curves", "secp256k1,p256", "--t", "3"]) == 2
-    assert main(["bench", "--curves", "", "--t", "1"]) == 2
+    assert main(["bench", "--curves", ""]) == 2
     assert main(["bench", "--length-samples", "0"]) == 2
 
 

@@ -2,9 +2,7 @@ import dataclasses
 
 import pytest
 
-from mecdsa import registry as registry_module
-from mecdsa.cli import main
-from mecdsa.curve import validate_curve_params
+from mecdsa.curve import CurveParams, validate_curve_params
 from mecdsa.errors import (
     CurveValidationError,
     DuplicateCurveError,
@@ -73,6 +71,51 @@ def test_every_builtin_passes_strict_validation(registry):
     for name in registry.names():
         report = validate_curve_params(registry.get(name), strict=True)
         assert report.ok, str(report)
+
+
+# Frozen from `openssl ecparam -name NAME -param_enc explicit -text -noout`
+# (OpenSSL 3.5.6) for NAME = secp256k1, prime256v1 and SM2; gx and gy are
+# the two halves of the uncompressed generator 04 | gx | gy.
+OPENSSL_SECP256K1 = dict(
+    p=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F,
+    a=0,
+    b=7,
+    gx=0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
+    gy=0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
+    n=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141,
+    h=1,
+)
+OPENSSL_PRIME256V1 = dict(
+    p=0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF,
+    a=0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFC,
+    b=0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B,
+    gx=0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
+    gy=0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
+    n=0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551,
+    h=1,
+)
+OPENSSL_SM2 = dict(
+    p=0xFFFFFFFEFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF00000000FFFFFFFFFFFFFFFF,
+    a=0xFFFFFFFEFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF00000000FFFFFFFFFFFFFFFC,
+    b=0x28E9FA9E9D9F5E344D5A9E4BCF6509A7F39789F515AB8F92DDBCBD414D940E93,
+    gx=0x32C4AE2C1F1981195F9904466A39C9948FE30BBFF2660BE1715A4589334C74C7,
+    gy=0xBC3736A2F4F6779C59BDCEE36B692153D0A9877CC62A474002DF32E52139F0A0,
+    n=0xFFFFFFFEFFFFFFFFFFFFFFFFFFFFFFFF7203DF6B21C6052B53BBF40939D54123,
+    h=1,
+)
+OPENSSL_PARAMS = {
+    "p256": OPENSSL_PRIME256V1,
+    "secp256k1": OPENSSL_SECP256K1,
+    "secp256r1": OPENSSL_PRIME256V1,
+    "sm2": OPENSSL_SM2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPENSSL_PARAMS))
+def test_builtin_constants_match_openssl(registry, name):
+    # the built-ins are not validated at run time; this and the strict
+    # validation above are what stand behind their constants
+    assert registry.get(name) == CurveParams(name=name, **OPENSSL_PARAMS[name])
 
 
 def test_list_curves_shape_and_idempotence(registry):
@@ -188,39 +231,3 @@ def test_custom_curves_resolve_after_loading(fresh_registry):
         (name, source) for name, _, source in fresh_registry.list_curves()
     )
     assert listing["test17"] == "custom"
-
-
-def test_builtins_validated_on_first_get_only(monkeypatch):
-    validated = []
-
-    def counting(params, **kwargs):
-        validated.append(params.name)
-        return validate_curve_params(params, **kwargs)
-
-    monkeypatch.setattr(registry_module, "validate_curve_params", counting)
-    reg = CurveRegistry()
-    assert validated == []
-    for _ in range(3):
-        reg.get("secp256k1")
-    reg.get("SECP256K1")
-    assert validated == ["secp256k1"]
-    reg.get("p256")
-    assert validated == ["secp256k1", "p256"]
-
-
-def test_broken_builtin_refused_on_get(monkeypatch, tmp_path):
-    broken = tuple(
-        row[:7] + (row[7] + 2,) + row[8:] if row[0] == "secp256k1" else row
-        for row in registry_module._BUILTINS
-    )
-    monkeypatch.setattr(registry_module, "_BUILTINS", broken)
-    reg = CurveRegistry()
-    with pytest.raises(CurveValidationError) as err:
-        reg.get("secp256k1")
-    assert {chk.name for chk in err.value.report.failures()} & {
-        "order-prime",
-        "order-kills-base",
-    }
-    monkeypatch.chdir(tmp_path)
-    assert main(["keygen", "--curves", "secp256k1"]) == 2
-    assert not (tmp_path / "key.sec").exists()
