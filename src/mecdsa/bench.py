@@ -10,11 +10,14 @@ per-execution predictions for t curves are
     mecdsa    sign      2t-1     2t      t       0       t
     mecdsa    verify    t-1      2t      t       t       2t
 
-and the scalar payload bounds in bits are 2*sum(l(n_i)) for t-ecdsa
-versus max(l(n_i)) + t - 1 + sum(l(n_i)) for mecdsa, where l(n) is the
-bit length of the order.  The t - 1 slack on the shared r is generous;
-the tight variant replaces it with ceil(log2 t) and is reported too,
-without changing any wire format.
+Each scheme is signed once per report; the counted verify checks that
+same signature, so both cells of a scheme come from one signing.
+
+The scalar payload bounds in bits are 2*sum(l(n_i)) for t-ecdsa versus
+max(l(n_i)) + t - 1 + sum(l(n_i)) for mecdsa, where l(n) is the bit
+length of the order.  The t - 1 slack on the shared r is generous; the
+tight variant replaces it with ceil(log2 t) and is reported too, without
+changing any wire format.
 
 Retried runs are reported with their actual (elevated) counts and a retry
 flag, never silently dropped.
@@ -23,25 +26,32 @@ flag, never silently dropped.
 import random
 from dataclasses import asdict, dataclass
 
-from mecdsa import multi
 from mecdsa.ecdsa import NonceSource, SeededNonceSource
-from mecdsa.multi import MultiCurveConfig, MultiCurveKeypair, mkeygen
+from mecdsa.multi import (
+    MultiCurveConfig,
+    MultiCurveKeypair,
+    mkeygen,
+    msign,
+    mverify,
+    t_ecdsa_sign,
+    t_ecdsa_verify,
+)
 from mecdsa.opcount import OpCounts, Trace
 
-SCHEMES = ("mecdsa", "t-ecdsa")
-PHASES = ("sign", "verify")
+# scheme name -> (sign, verify)
+_SCHEMES = {"mecdsa": (msign, mverify), "t-ecdsa": (t_ecdsa_sign, t_ecdsa_verify)}
 
 
-def _check_scheme_phase(scheme: str, phase: str):
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if phase not in PHASES:
-        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
+def _check_scheme(scheme: str):
+    if scheme not in _SCHEMES:
+        raise ValueError(f"scheme must be one of {tuple(_SCHEMES)}, got {scheme!r}")
 
 
 def predicted_counts(scheme: str, phase: str, t: int) -> OpCounts:
     """Per-execution operation counts predicted by the cost model."""
-    _check_scheme_phase(scheme, phase)
+    _check_scheme(scheme)
+    if phase not in ("sign", "verify"):
+        raise ValueError(f"phase must be one of ('sign', 'verify'), got {phase!r}")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     if phase == "sign":
@@ -52,49 +62,28 @@ def predicted_counts(scheme: str, phase: str, t: int) -> OpCounts:
 
 
 def measure_counts(
-    scheme: str,
-    phase: str,
-    config: MultiCurveConfig,
-    keypair: MultiCurveKeypair,
-    message: bytes,
-    nonces: NonceSource,
-) -> Trace:
-    """Run one sign or verify with counting instrumentation and return its
-    trace.
+    scheme: str, keypair: MultiCurveKeypair, message: bytes, nonces: NonceSource
+) -> "tuple[Trace, Trace]":
+    """Sign once and verify that signature, each with its own trace.
 
-    ``nonces`` feeds the signing side; for the verify phase the signature
-    is produced first without instrumentation, then verified with it.
+    Returns ``(sign_trace, verify_trace)``; ``nonces`` feeds the signing.
     """
-    _check_scheme_phase(scheme, phase)
-    if scheme == "mecdsa":
-        sign_fn, verify_fn = multi.msign, multi.mverify
-    else:
-        sign_fn, verify_fn = multi.t_ecdsa_sign, multi.t_ecdsa_verify
-    trace = Trace()
-    if phase == "sign":
-        sign_fn(message, keypair, nonces, trace)
-    else:
-        sig = sign_fn(message, keypair, nonces)
-        ok = verify_fn(message, sig, keypair.q, config, trace)
-        if not ok:
-            raise AssertionError("genuine signature failed to verify")
-    return trace
-
-
-def ceil_log2(t: int) -> int:
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return (t - 1).bit_length()
+    sign_fn, verify_fn = _SCHEMES[scheme]
+    sign_trace, verify_trace = Trace(), Trace()
+    sig = sign_fn(message, keypair, nonces, sign_trace)
+    if not verify_fn(message, sig, keypair.q, keypair.config, verify_trace):
+        raise AssertionError("genuine signature failed to verify")
+    return sign_trace, verify_trace
 
 
 def formula_sig_bits(scheme: str, orders: "list[int]", tight: bool = False) -> int:
     """Scalar payload bound in bits for a curve set, by the length formulas."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    _check_scheme(scheme)
     lengths = [n.bit_length() for n in orders]
     if scheme == "t-ecdsa":
         return 2 * sum(lengths)
-    slack = ceil_log2(len(lengths)) if tight else len(lengths) - 1
+    t = len(lengths)
+    slack = (t - 1).bit_length() if tight else t - 1
     return max(lengths) + slack + sum(lengths)
 
 
@@ -103,22 +92,13 @@ class LengthReport:
     """Formula bounds vs measured minimal payloads, in bits."""
 
     t: int
-    samples: int
     mecdsa_formula_bits: int
     mecdsa_tight_bits: int
     tecdsa_formula_bits: int
-    mecdsa_measured_mean: float = 0.0
-    mecdsa_measured_max: int = 0
-    tecdsa_measured_mean: float = 0.0
-    tecdsa_measured_max: int = 0
-
-
-def _multisig_payload_bits(sig: multi.MultiSignature) -> int:
-    return sig.r.bit_length() + sum(s.bit_length() for s in sig.s)
-
-
-def _tecdsa_payload_bits(sig: multi.TEcdsaSignature) -> int:
-    return sum(p.r.bit_length() + p.s.bit_length() for p in sig.pairs)
+    mecdsa_measured_mean: float
+    mecdsa_measured_max: int
+    tecdsa_measured_mean: float
+    tecdsa_measured_max: int
 
 
 def signature_length_report(
@@ -132,27 +112,27 @@ def signature_length_report(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    orders = [c.n for c in config.curves]
-    report = LengthReport(
-        t=config.t,
-        samples=samples,
-        mecdsa_formula_bits=formula_sig_bits("mecdsa", orders),
-        mecdsa_tight_bits=formula_sig_bits("mecdsa", orders, tight=True),
-        tecdsa_formula_bits=formula_sig_bits("t-ecdsa", orders),
-    )
     rng = SeededNonceSource(seed)
     keypair = mkeygen(config, rng)
     m_bits, b_bits = [], []
     msg_rng = random.Random(seed ^ 0x5BD1E995)
     for _ in range(samples):
         message = msg_rng.randbytes(64)
-        m_bits.append(_multisig_payload_bits(multi.msign(message, keypair, rng)))
-        b_bits.append(_tecdsa_payload_bits(multi.t_ecdsa_sign(message, keypair, rng)))
-    report.mecdsa_measured_mean = sum(m_bits) / len(m_bits)
-    report.mecdsa_measured_max = max(m_bits)
-    report.tecdsa_measured_mean = sum(b_bits) / len(b_bits)
-    report.tecdsa_measured_max = max(b_bits)
-    return report
+        sig = msign(message, keypair, rng)
+        m_bits.append(sig.r.bit_length() + sum(s.bit_length() for s in sig.s))
+        pairs = t_ecdsa_sign(message, keypair, rng).pairs
+        b_bits.append(sum(p.r.bit_length() + p.s.bit_length() for p in pairs))
+    orders = [c.n for c in config.curves]
+    return LengthReport(
+        t=config.t,
+        mecdsa_formula_bits=formula_sig_bits("mecdsa", orders),
+        mecdsa_tight_bits=formula_sig_bits("mecdsa", orders, tight=True),
+        tecdsa_formula_bits=formula_sig_bits("t-ecdsa", orders),
+        mecdsa_measured_mean=sum(m_bits) / samples,
+        mecdsa_measured_max=max(m_bits),
+        tecdsa_measured_mean=sum(b_bits) / samples,
+        tecdsa_measured_max=max(b_bits),
+    )
 
 
 @dataclass
@@ -164,32 +144,26 @@ class CostReport:
     counted: OpCounts
     predicted: OpCounts
     retried: bool
-    lengths: LengthReport
 
     @property
     def counts_match(self) -> bool:
         return self.counted == self.predicted
 
 
-def cost_reports(
-    config: MultiCurveConfig, seed: int = 0, length_samples: int = 100
-) -> "list[CostReport]":
+def cost_reports(config: MultiCurveConfig, seed: int = 0) -> "list[CostReport]":
     """Count all four scheme x phase cells.
 
-    The keypair, the message and each cell's nonces are drawn from the
-    seed, and every cell gets a fresh nonce source, so the verify cells
-    check the signatures the sign cells counted and the counts repeat
-    exactly across runs.
+    The keypair, the message and each scheme's nonces are drawn from the
+    seed.  Each scheme is signed once, and its verify cell counts the
+    check of that very signature, so the counts repeat exactly across
+    runs.
     """
-    lengths = signature_length_report(config, samples=length_samples, seed=seed)
     keypair = mkeygen(config, SeededNonceSource(seed + 1))
     message = random.Random(seed).randbytes(64)
     reports = []
-    for scheme in SCHEMES:
-        for phase in PHASES:
-            trace = measure_counts(
-                scheme, phase, config, keypair, message, SeededNonceSource(seed + 2)
-            )
+    for scheme in _SCHEMES:
+        traces = measure_counts(scheme, keypair, message, SeededNonceSource(seed + 2))
+        for phase, trace in zip(("sign", "verify"), traces):
             reports.append(
                 CostReport(
                     scheme=scheme,
@@ -197,14 +171,14 @@ def cost_reports(
                     counted=trace.counts,
                     predicted=predicted_counts(scheme, phase, config.t),
                     retried=trace.retried,
-                    lengths=lengths,
                 )
             )
     return reports
 
 
-def format_report_table(reports: "list[CostReport]") -> str:
-    """Human-readable comparison table, one row per scheme x phase."""
+def format_report_table(reports: "list[CostReport]", lengths: LengthReport) -> str:
+    """Human-readable comparison table, one row per scheme x phase, then
+    the signature lengths."""
     header = (
         f"{'scheme':<9} {'phase':<7} {'Fp.add':>6} {'Fp.mul':>6} {'Fp.inv':>6} "
         f"{'EC.add':>6} {'EC.mul':>6} {'match':>6}"
@@ -217,40 +191,38 @@ def format_report_table(reports: "list[CostReport]") -> str:
             f"{c.field_inv:>6} {c.ec_add:>6} {c.ec_mul:>6} "
             f"{'yes' if rep.counts_match else 'NO':>6}"
         )
-    if reports:
-        ln = reports[0].lengths
-        lines.append("")
-        lines.append(
-            f"signature payload bits (t={ln.t}): "
-            f"mecdsa formula={ln.mecdsa_formula_bits} tight={ln.mecdsa_tight_bits} "
-            f"measured mean={ln.mecdsa_measured_mean:.1f} max={ln.mecdsa_measured_max}"
-        )
-        lines.append(
-            f"{'':>29}t-ecdsa formula={ln.tecdsa_formula_bits} "
-            f"measured mean={ln.tecdsa_measured_mean:.1f} max={ln.tecdsa_measured_max}"
-        )
+    lines.append("")
+    lines.append(
+        f"signature payload bits (t={lengths.t}): "
+        f"mecdsa formula={lengths.mecdsa_formula_bits} "
+        f"tight={lengths.mecdsa_tight_bits} "
+        f"measured mean={lengths.mecdsa_measured_mean:.1f} "
+        f"max={lengths.mecdsa_measured_max}"
+    )
+    lines.append(
+        f"{'':>29}t-ecdsa formula={lengths.tecdsa_formula_bits} "
+        f"measured mean={lengths.tecdsa_measured_mean:.1f} "
+        f"max={lengths.tecdsa_measured_max}"
+    )
     return "\n".join(lines)
 
 
-def report_kv_lines(reports: "list[CostReport]") -> str:
+def report_kv_lines(reports: "list[CostReport]", lengths: LengthReport) -> str:
     """Machine-readable key = value mirror of the table."""
     lines = []
     for rep in reports:
         prefix = f"{rep.scheme}.{rep.phase}"
-        for key, value in asdict(rep.counted).items():
-            lines.append(f"{prefix}.counted.{key} = {value}")
-        for key, value in asdict(rep.predicted).items():
-            lines.append(f"{prefix}.predicted.{key} = {value}")
+        for kind in ("counted", "predicted"):
+            for key, value in asdict(getattr(rep, kind)).items():
+                lines.append(f"{prefix}.{kind}.{key} = {value}")
         lines.append(f"{prefix}.match = {'true' if rep.counts_match else 'false'}")
         lines.append(f"{prefix}.retried = {'true' if rep.retried else 'false'}")
-    if reports:
-        ln = reports[0].lengths
-        lines.append(f"length.t = {ln.t}")
-        lines.append(f"length.mecdsa.formula_bits = {ln.mecdsa_formula_bits}")
-        lines.append(f"length.mecdsa.tight_bits = {ln.mecdsa_tight_bits}")
-        lines.append(f"length.mecdsa.measured_mean_bits = {ln.mecdsa_measured_mean:.2f}")
-        lines.append(f"length.mecdsa.measured_max_bits = {ln.mecdsa_measured_max}")
-        lines.append(f"length.tecdsa.formula_bits = {ln.tecdsa_formula_bits}")
-        lines.append(f"length.tecdsa.measured_mean_bits = {ln.tecdsa_measured_mean:.2f}")
-        lines.append(f"length.tecdsa.measured_max_bits = {ln.tecdsa_measured_max}")
+    lines.append(f"length.t = {lengths.t}")
+    lines.append(f"length.mecdsa.formula_bits = {lengths.mecdsa_formula_bits}")
+    lines.append(f"length.mecdsa.tight_bits = {lengths.mecdsa_tight_bits}")
+    lines.append(f"length.mecdsa.measured_mean_bits = {lengths.mecdsa_measured_mean:.2f}")
+    lines.append(f"length.mecdsa.measured_max_bits = {lengths.mecdsa_measured_max}")
+    lines.append(f"length.tecdsa.formula_bits = {lengths.tecdsa_formula_bits}")
+    lines.append(f"length.tecdsa.measured_mean_bits = {lengths.tecdsa_measured_mean:.2f}")
+    lines.append(f"length.tecdsa.measured_max_bits = {lengths.tecdsa_measured_max}")
     return "\n".join(lines)

@@ -165,6 +165,9 @@ def _load_key_file(path, registry, need_secret):
         if len(q_texts) != config.t:
             _fail_input(f"{path}: q list does not match curve list")
         publics = tuple(decode_point(q, c) for q, c in zip(q_texts, config.curves))
+        for c, q in zip(config.curves, publics):
+            if q.is_infinity:
+                _fail_input(f"{path}: public point on {c.name} is the identity")
         if not need_secret:
             return config, None, publics
         if "d" not in kv:
@@ -174,6 +177,8 @@ def _load_key_file(path, registry, need_secret):
             _fail_input(f"{path}: d list does not match curve list")
         keypair = MultiCurveKeypair(config, ds, publics)
         for c, d, q in zip(config.curves, ds, publics):
+            if not 1 <= d < c.n:
+                _fail_input(f"{path}: d on {c.name} is outside [1, n-1]")
             if curve.scalar_mul(d, c.base, c) != q:
                 _fail_input(f"{path}: stored public point does not match d*P on {c.name}")
         return config, keypair, publics
@@ -291,12 +296,11 @@ def _cmd_bench(args):
         _fail_input("length-samples must be >= 1")
     config = _resolve_config(names, registry)
     seed = hex_to_int(args.seed, "seed") if args.seed is not None else 0
-    reports = benchmod.cost_reports(
-        config, seed=seed, length_samples=args.length_samples
-    )
-    print(benchmod.format_report_table(reports))
+    lengths = benchmod.signature_length_report(config, args.length_samples, seed)
+    reports = benchmod.cost_reports(config, seed)
+    print(benchmod.format_report_table(reports, lengths))
     print()
-    print(benchmod.report_kv_lines(reports))
+    print(benchmod.report_kv_lines(reports, lengths))
     return EXIT_OK if all(rep.counts_match for rep in reports) else EXIT_REFUSED
 
 

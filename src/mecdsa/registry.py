@@ -115,8 +115,10 @@ def parse_kv_lines(text: str) -> "dict[str, str]":
 def parse_curve_config(text: str) -> "tuple[CurveParams, bool]":
     """Parse a curve config document into (params, strict flag).
 
-    No validation happens here; that is the caller's (or the registry's)
-    next step.
+    The base point is decoded here, so an encoding that is not on the
+    curve is refused with a FormatError or InvalidPointError before any
+    validation runs.  Every other check (primality, discriminant, n*P = O,
+    cofactor, strict bounds) is the caller's (or the registry's) next step.
     """
     kv = parse_kv_lines(text)
     missing = [k for k in _CONFIG_KEYS if k not in kv]

@@ -63,15 +63,16 @@ def rng():
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """One pass/fail line per acceptance criterion, at the end of the run."""
+    """One pass/fail line per acceptance criterion, with its duration, at
+    the end of the run."""
     lines = []
     for outcome in ("passed", "failed"):
         for report in terminalreporter.stats.get(outcome, []):
             name = getattr(report, "nodeid", "")
             if "test_acceptance.py::test_criterion" in name:
-                lines.append((name.split("::", 1)[1], outcome.upper()))
+                lines.append((name.split("::", 1)[1], outcome.upper(), report.duration))
     if not lines:
         return
     terminalreporter.section("acceptance criteria")
-    for name, outcome in sorted(lines):
-        terminalreporter.write_line(f"{outcome:<6} {name}")
+    for name, outcome, duration in sorted(lines):
+        terminalreporter.write_line(f"{outcome:<6} {duration:7.2f}s {name}")

@@ -116,12 +116,10 @@ def flip_int_byte(value: int, rnd) -> int:
 def test_criterion_1_operation_counts_match_predictions():
     started = time.perf_counter()
     for t in (1, 2, 3):
-        config, keypair, ks, message = fixed_setup(t)
+        keypair, ks, message = fixed_setup(t)
         for scheme in ("mecdsa", "t-ecdsa"):
-            for phase in ("sign", "verify"):
-                run = measure_counts(
-                    scheme, phase, config, keypair, message, ListNonceSource(ks)
-                )
+            traces = measure_counts(scheme, keypair, message, ListNonceSource(ks))
+            for phase, run in zip(("sign", "verify"), traces):
                 assert not run.retried, (scheme, phase, t)
                 assert run.counts == predicted_counts(scheme, phase, t), (
                     scheme,

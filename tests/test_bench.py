@@ -1,7 +1,6 @@
 import pytest
 
 from mecdsa.bench import (
-    ceil_log2,
     cost_reports,
     format_report_table,
     formula_sig_bits,
@@ -31,7 +30,7 @@ def fixed_setup(t):
     curves, ds, ks, message = FIXED[t]
     config = MultiCurveConfig(curves)
     qs = tuple(scalar_mul(d, c.base, c) for d, c in zip(ds, curves))
-    return config, MultiCurveKeypair(config, ds, qs), ks, message
+    return MultiCurveKeypair(config, ds, qs), ks, message
 
 
 def test_predicted_counts_known_rows():
@@ -54,19 +53,30 @@ def test_predicted_counts_rejects_bad_inputs():
 @pytest.mark.parametrize("scheme", ["mecdsa", "t-ecdsa"])
 @pytest.mark.parametrize("phase", ["sign", "verify"])
 def test_measured_counts_equal_predictions(t, scheme, phase):
-    config, keypair, ks, message = fixed_setup(t)
-    run = measure_counts(scheme, phase, config, keypair, message, ListNonceSource(ks))
+    keypair, ks, message = fixed_setup(t)
+    traces = measure_counts(scheme, keypair, message, ListNonceSource(ks))
+    run = traces[("sign", "verify").index(phase)]
     assert not run.retried
     assert run.counts == predicted_counts(scheme, phase, t)
 
 
+@pytest.mark.parametrize("scheme", ["mecdsa", "t-ecdsa"])
+def test_verify_trace_recovers_the_signed_points(scheme):
+    # the counted verify checks the very signature the counted sign made
+    keypair, ks, message = fixed_setup(3)
+    signed, verified = measure_counts(scheme, keypair, message, ListNonceSource(ks))
+    assert len(signed.points) == len(signed.r_values) == 3
+    assert verified.points == signed.points
+    assert verified.r_values == signed.r_values
+
+
 def test_forced_retry_exceeds_predictions():
     # k = 7 hits the x = 0 point of TEST17 (r_1 = 0), forcing a retry
-    config, keypair, _ks, message = fixed_setup(1)
-    run = measure_counts(
-        "mecdsa", "sign", config, keypair, message, ListNonceSource([7, 5])
-    )
+    keypair, _ks, message = fixed_setup(1)
+    run, verified = measure_counts("mecdsa", keypair, message, ListNonceSource([7, 5]))
     assert run.retried and run.retries == 1
+    assert not verified.retried
+    assert verified.counts == predicted_counts("mecdsa", "verify", 1)
     predicted = predicted_counts("mecdsa", "sign", 1)
     assert run.counts != predicted
     assert run.counts.ec_mul == predicted.ec_mul + 1
@@ -85,12 +95,12 @@ def test_formula_bits_degenerate_t1():
 
 
 def test_tight_slack_replaces_linear_slack():
-    assert ceil_log2(1) == 0 and ceil_log2(2) == 1 and ceil_log2(3) == 2
-    assert ceil_log2(4) == 2 and ceil_log2(5) == 3
-    orders = [TEST17.n] * 5
-    loose = formula_sig_bits("mecdsa", orders)
-    tight = formula_sig_bits("mecdsa", orders, tight=True)
-    assert loose - tight == (5 - 1) - ceil_log2(5) == 1
+    # loose slack is t - 1, tight slack is ceil(log2 t)
+    for t, ceil_log2_t in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+        orders = [TEST17.n] * t
+        loose = formula_sig_bits("mecdsa", orders)
+        tight = formula_sig_bits("mecdsa", orders, tight=True)
+        assert loose - tight == (t - 1) - ceil_log2_t
 
 
 def test_length_report_builtin_pair():
@@ -133,10 +143,11 @@ def test_cost_reports_shape_and_determinism():
 def test_report_formatting_contains_counts_and_lengths():
     config = MultiCurveConfig((TEST17, TOY23))
     reports = cost_reports(config, seed=1)
-    table = format_report_table(reports)
+    lengths = signature_length_report(config, samples=5, seed=1)
+    table = format_report_table(reports, lengths)
     assert "mecdsa" in table and "t-ecdsa" in table
     assert "signature payload bits" in table
-    kv = report_kv_lines(reports)
+    kv = report_kv_lines(reports, lengths)
     assert "mecdsa.sign.counted.field_add = 3" in kv
     assert "mecdsa.sign.predicted.field_add = 3" in kv
     assert "length.mecdsa.formula_bits" in kv

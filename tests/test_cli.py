@@ -7,9 +7,15 @@ import pytest
 from mecdsa.cli import main
 from mecdsa.registry import format_curve_config, parse_kv_lines
 
-from .conftest import TEST17
+from .conftest import TEST17, TOY23
 
 TEST17_CONFIG = format_curve_config(TEST17, strict=False)
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def golden(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 @pytest.fixture
@@ -207,6 +213,43 @@ def test_tampered_secret_scalar_exits_2(workdir, toy_file):
     assert code == 2
 
 
+def test_identity_public_point_in_secret_file_exits_2(workdir, toy_file, capsys):
+    # d = 0 with q = O passes the d*P = q check, so q must be refused itself
+    (workdir / "key.sec").write_text("version = 1\ncurves = test17\nd = 0\nq = inf\n")
+    (workdir / "m.bin").write_bytes(b"m")
+    sign = ["sign", "--key", "key.sec", "--in", "m.bin", "--out", "m.sig"]
+    assert main([*sign, "--seed", "3", "--curve-file", toy_file]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: key.sec: public point on test17 is the identity\n"
+    assert not (workdir / "m.sig").exists()
+
+
+def test_identity_public_point_in_public_file_exits_2(workdir, toy_file, capsys):
+    keygen_toy(workdir, toy_file)
+    (workdir / "m.bin").write_bytes(b"m")
+    sign = ["sign", "--key", "key.sec", "--in", "m.bin", "--out", "m.sig"]
+    assert main([*sign, "--seed", "3", "--curve-file", toy_file]) == 0
+    (workdir / "key.pub").write_text("version = 1\ncurves = test17\nq = inf\n")
+    capsys.readouterr()
+    verify = ["verify", "--public", "key.pub", "--in", "m.bin", "--sig", "m.sig"]
+    assert main([*verify, "--curve-file", toy_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: key.pub: public point on test17 is the identity\n"
+
+
+def test_secret_scalar_above_order_exits_2(workdir, toy_file, capsys):
+    # d + n gives the same d*P, so only the range check refuses it
+    sec, _pub = keygen_toy(workdir, toy_file)
+    d = parse_kv_lines(sec.read_text())["d"]
+    sec.write_text(sec.read_text().replace(f"d = {d}", f"d = {int(d, 16) + TEST17.n:x}"))
+    (workdir / "m.bin").write_bytes(b"m")
+    sign = ["sign", "--key", "key.sec", "--in", "m.bin", "--out", "m.sig"]
+    capsys.readouterr()
+    assert main([*sign, "--seed", "3", "--curve-file", toy_file]) == 2
+    assert capsys.readouterr().err == "error: key.sec: d on test17 is outside [1, n-1]\n"
+
+
 @pytest.mark.parametrize("command", ["sign", "verify"])
 def test_extra_q_entries_exit_2(workdir, toy_file, capsys, command):
     # a t = 2 key with a third q entry that is not a point at all
@@ -285,6 +328,16 @@ def test_curves_validate(workdir, toy_file, capsys):
     garbage = workdir / "garbage.curve"
     garbage.write_text("not a config")
     assert main(["curves", "validate", str(garbage)]) == 2
+
+
+def test_curves_validate_refuses_off_curve_base_while_reading(workdir, capsys):
+    # the parser decodes the base point, so no validation report is printed
+    path = workdir / "off.curve"
+    path.write_text(TEST17_CONFIG.replace("base = 040501\n", "base = 040502\n"))
+    assert main(["curves", "validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: Point(0x5, 0x2) is not on curve test17\n"
 
 
 @pytest.mark.parametrize("modulus", ["0", "1"])
@@ -410,19 +463,24 @@ def test_keygen_order_too_small_exits_2(workdir, capsys):
 
 
 def test_bench_counts_match_and_report(workdir, capsys):
-    code = main(
-        [
-            "bench", "--length-samples", "2", "--seed", "05",
-        ]
-    )
-    assert code == 0
+    # the whole report is frozen: counts, matches, retry flags and lengths
+    assert main(["bench", "--length-samples", "2", "--seed", "05"]) == 0
+    assert capsys.readouterr().out == golden("bench_seed05.txt")
+
+
+def test_bench_toy_retry_report_is_frozen(workdir, capsys):
+    # seed 01 makes both schemes redraw a nonce while signing: the counts
+    # exceed the predictions, so bench exits 1
+    (workdir / "test17.conf").write_text(TEST17_CONFIG)
+    (workdir / "toy23.conf").write_text(format_curve_config(TOY23, strict=False))
+    argv = [
+        "bench", "--curve-file", "test17.conf", "--curve-file", "toy23.conf",
+        "--curves", "test17,toy23,test17", "--length-samples", "5", "--seed", "01",
+    ]
+    assert main(argv) == 1
     out = capsys.readouterr().out
-    assert "mecdsa.sign.counted.field_add = 3" in out
-    assert "mecdsa.sign.counted.field_mul = 4" in out
-    assert "mecdsa.sign.counted.field_inv = 2" in out
-    assert "mecdsa.sign.counted.ec_mul = 2" in out
-    assert "length.mecdsa.formula_bits = 769" in out
-    assert "length.tecdsa.formula_bits = 1024" in out
+    assert out == golden("bench_toy_seed01.txt")
+    assert "mecdsa.sign.retried = true" in out
 
 
 def test_bench_t1_lengths_coincide(workdir, capsys):
