@@ -17,8 +17,6 @@ from mecdsa.curve import (
     Point,
     decompress_point,
     is_on_curve,
-    point_add,
-    scalar_mul,
     validate_curve_params,
 )
 from mecdsa.ecdsa import (
@@ -97,8 +95,6 @@ __all__ = [
     "mkeygen",
     "msign",
     "mverify",
-    "point_add",
-    "scalar_mul",
     "sign",
     "sqrt_mod",
     "t_ecdsa_sign",

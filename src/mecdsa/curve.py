@@ -2,12 +2,14 @@
 compression, text encodings, and parameter validation.
 
 Curve arithmetic delegates to ``mecdsa._kernels``, one plain-Python
-module; this module owns the typed surface and all checking.  Affine
-coordinates with one field inversion per addition are the ground truth
-here, and the test suite checks them against independent oracles.
+module; this module owns the typed surface.  Affine coordinates with one
+field inversion per addition are the ground truth here, and the test
+suite checks them against independent oracles.
 
-``is_on_curve`` never raises.  Every operation that needs a curve point
-refuses one off the curve or outside the field with ``InvalidPointError``.
+Points are checked once, where they enter.  The group law and encoders
+take points known to be on the curve: a validated curve's base, a decoded
+or decompressed point, one that passed ``is_on_curve`` (as each public
+key does in ``verify`` and ``mverify``), or a result of the group law.
 """
 
 from dataclasses import dataclass, field
@@ -89,11 +91,6 @@ def is_on_curve(pt: Point, c: CurveParams) -> bool:
     return (pt.y * pt.y - (pt.x * pt.x * pt.x + c.a * pt.x + c.b)) % c.p == 0
 
 
-def _require_on_curve(pt: Point, c: CurveParams):
-    if not is_on_curve(pt, c):
-        raise InvalidPointError(f"{pt!r} is not on curve {c.name}")
-
-
 def _wrap(raw) -> Point:
     return INFINITY if raw is None else Point(raw[0], raw[1])
 
@@ -104,16 +101,11 @@ def _raw(pt: Point):
 
 def point_add(pt: Point, other: Point, c: CurveParams) -> Point:
     """Group law: identity, inverse pairs, tangent doubling, chord."""
-    _require_on_curve(pt, c)
-    _require_on_curve(other, c)
     return _wrap(_kernels.point_add(_raw(pt), _raw(other), c.a, c.p))
 
 
 def scalar_mul(k: int, pt: Point, c: CurveParams) -> Point:
     """k-fold group sum for k >= 0; k is not reduced modulo anything."""
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
-    _require_on_curve(pt, c)
     return _wrap(_kernels.scalar_mul(k, _raw(pt), c.a, c.p))
 
 
@@ -144,7 +136,6 @@ def decompress_point(prefix: int, x_bytes: bytes, c: CurveParams) -> Point:
 def compress_point(pt: Point, c: CurveParams) -> bytes:
     if pt.is_infinity:
         raise InvalidPointError("the identity has no compressed form")
-    _require_on_curve(pt, c)
     prefix = b"\x03" if pt.y & 1 else b"\x02"
     return prefix + pt.x.to_bytes(c.coord_bytes, "big")
 
@@ -154,7 +145,6 @@ def encode_point(pt: Point, c: CurveParams) -> str:
     compressed text form is ``compress_point(pt, c).hex()``."""
     if pt.is_infinity:
         return "inf"
-    _require_on_curve(pt, c)
     w = c.coord_bytes
     return (b"\x04" + pt.x.to_bytes(w, "big") + pt.y.to_bytes(w, "big")).hex()
 
@@ -182,7 +172,8 @@ def decode_point(text: str, c: CurveParams) -> Point:
             int.from_bytes(blob[1 : 1 + w], "big"),
             int.from_bytes(blob[1 + w :], "big"),
         )
-        _require_on_curve(pt, c)
+        if not is_on_curve(pt, c):
+            raise InvalidPointError(f"{pt!r} is not on curve {c.name}")
         return pt
     raise FormatError(f"bad point prefix {prefix:#04x}")
 
@@ -217,6 +208,17 @@ class ValidationReport:
             suffix = f" ({c.detail})" if c.detail else ""
             lines.append(f"  {status} {c.name}{suffix}")
         return "\n".join(lines)
+
+
+_STRICT_BOUNDS = (
+    ("order-above-2^160", lambda c: c.n > 2**160),
+    ("order-above-4-sqrt-p", lambda c: c.n * c.n > 16 * c.p),
+)
+
+
+def meets_strict_bounds(c: CurveParams) -> bool:
+    """Whether c passes the two order-size bounds that only strict mode checks."""
+    return all(bound(c) for _, bound in _STRICT_BOUNDS)
 
 
 def validate_curve_params(c: CurveParams, strict: bool = True) -> ValidationReport:
@@ -262,6 +264,6 @@ def validate_curve_params(c: CurveParams, strict: bool = True) -> ValidationRepo
         "h*n falls outside the Hasse interval",
     )
     if strict:
-        run("order-above-2^160", lambda: c.n > 2**160)
-        run("order-above-4-sqrt-p", lambda: c.n * c.n > 16 * c.p)
+        for name, bound in _STRICT_BOUNDS:
+            run(name, lambda: bound(c))
     return report

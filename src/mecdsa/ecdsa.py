@@ -128,10 +128,7 @@ def keygen(curve: CurveParams, rng: NonceSource) -> Keypair:
         d = rng.draw(curve.n)
     except ValueError as exc:
         raise ValueError(f"cannot make a key on {curve.name}: {exc}") from None
-    q = curvemod.scalar_mul(d, curve.base, curve)
-    if q.is_infinity:
-        raise ValueError(f"degenerate key on {curve.name}: d*P = O")
-    return Keypair(curve, d, q)
+    return Keypair(curve, d, curvemod.scalar_mul(d, curve.base, curve))
 
 
 def _nonce_point(

@@ -21,6 +21,7 @@ def sqrt_mod(a: int, p: int) -> "int | None":
     Uses the exponentiation shortcut when p = 3 (mod 4) and Tonelli-Shanks
     otherwise.  Which of the two roots comes back is unspecified; callers
     that care about parity (point decompression) pick for themselves.
+    Raises ValueError for a composite p that Tonelli-Shanks would loop on.
     """
     a %= p
     if a == 0:
@@ -28,6 +29,8 @@ def sqrt_mod(a: int, p: int) -> "int | None":
     if p % 4 == 3:
         y = pow(a, (p + 1) // 4, p)
         return y if y * y % p == a else None
+    if not is_probable_prime(p):
+        raise ValueError(f"field modulus {p} is not prime")
     if pow(a, (p - 1) // 2, p) != 1:
         return None
     # Tonelli-Shanks: write p - 1 = q * 2^s with q odd.

@@ -27,6 +27,7 @@ from mecdsa.curve import (
     CurveParams,
     decode_point,
     encode_point,
+    meets_strict_bounds,
     validate_curve_params,
 )
 from mecdsa.errors import (
@@ -115,10 +116,10 @@ def parse_kv_lines(text: str) -> "dict[str, str]":
 def parse_curve_config(text: str) -> "tuple[CurveParams, bool]":
     """Parse a curve config document into (params, strict flag).
 
-    The base point is decoded here, so an encoding that is not on the
-    curve is refused with a FormatError or InvalidPointError before any
-    validation runs.  Every other check (primality, discriminant, n*P = O,
-    cofactor, strict bounds) is the caller's (or the registry's) next step.
+    The base point is decoded here, so an encoding off the curve, or one
+    needing a square root modulo a composite p, is refused (FormatError,
+    InvalidPointError) before any validation runs; validate_curve_params
+    makes every other check, in the caller or the registry.
     """
     kv = parse_kv_lines(text)
     missing = [k for k in _CONFIG_KEYS if k not in kv]
@@ -140,15 +141,15 @@ def parse_curve_config(text: str) -> "tuple[CurveParams, bool]":
     strict = kv["strict"] == "true"
     try:
         shell = CurveParams(name=name, p=p, a=a, b=b, gx=0, gy=0, n=n, h=h)
-    except ValueError as exc:  # e.g. p < 2
+        base = decode_point(kv["base"], shell)
+    except ValueError as exc:  # p < 2, or a square root modulo a composite p
         raise FormatError(str(exc)) from None
-    base = decode_point(kv["base"], shell)
     if base.is_infinity:
         raise FormatError("base point must not be the identity")
     return replace(shell, gx=base.x, gy=base.y), strict
 
 
-def format_curve_config(c: CurveParams, strict: bool = True) -> str:
+def format_curve_config(c: CurveParams) -> str:
     """Serialize params to the config format; parse_curve_config inverts it."""
     lines = [
         f"name = {c.name}",
@@ -158,7 +159,7 @@ def format_curve_config(c: CurveParams, strict: bool = True) -> str:
         f"base = {encode_point(c.base, c)}",
         f"n = {int_to_hex(c.n)}",
         f"h = {int_to_hex(c.h)}",
-        f"strict = {'true' if strict else 'false'}",
+        f"strict = {'true' if meets_strict_bounds(c) else 'false'}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -9,7 +9,7 @@ from mecdsa.registry import format_curve_config, parse_kv_lines
 
 from .conftest import TEST17, TOY23
 
-TEST17_CONFIG = format_curve_config(TEST17, strict=False)
+TEST17_CONFIG = format_curve_config(TEST17)
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -31,8 +31,9 @@ def toy_file(workdir):
     return str(path)
 
 
-def run_cli_process(*args):
-    """Run ``python -m mecdsa.cli`` in a fresh interpreter."""
+def run_cli_process(*args, timeout=60):
+    """Run ``python -m mecdsa.cli`` in a fresh interpreter; a run longer
+    than ``timeout`` seconds fails the test instead of stalling the suite."""
     import mecdsa
 
     env = dict(os.environ)
@@ -43,6 +44,7 @@ def run_cli_process(*args):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -224,18 +226,31 @@ def test_identity_public_point_in_secret_file_exits_2(workdir, toy_file, capsys)
     assert not (workdir / "m.sig").exists()
 
 
-def test_identity_public_point_in_public_file_exits_2(workdir, toy_file, capsys):
+def verify_with_public_q(workdir, toy_file, capsys, q):
+    """Sign with a toy key, replace the public file's q by ``q``, verify;
+    returns the exit code and the captured output of the verify."""
     keygen_toy(workdir, toy_file)
     (workdir / "m.bin").write_bytes(b"m")
     sign = ["sign", "--key", "key.sec", "--in", "m.bin", "--out", "m.sig"]
     assert main([*sign, "--seed", "3", "--curve-file", toy_file]) == 0
-    (workdir / "key.pub").write_text("version = 1\ncurves = test17\nq = inf\n")
+    (workdir / "key.pub").write_text(f"version = 1\ncurves = test17\nq = {q}\n")
     capsys.readouterr()
     verify = ["verify", "--public", "key.pub", "--in", "m.bin", "--sig", "m.sig"]
-    assert main([*verify, "--curve-file", toy_file]) == 2
-    captured = capsys.readouterr()
+    return main([*verify, "--curve-file", toy_file]), capsys.readouterr()
+
+
+def test_identity_public_point_in_public_file_exits_2(workdir, toy_file, capsys):
+    code, captured = verify_with_public_q(workdir, toy_file, capsys, "inf")
+    assert code == 2
     assert captured.out == ""
     assert captured.err == "error: key.pub: public point on test17 is the identity\n"
+
+
+def test_off_curve_public_point_in_public_file_exits_2(workdir, toy_file, capsys):
+    code, captured = verify_with_public_q(workdir, toy_file, capsys, "040502")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: key.pub: Point(0x5, 0x2) is not on curve test17\n"
 
 
 def test_secret_scalar_above_order_exits_2(workdir, toy_file, capsys):
@@ -318,6 +333,15 @@ def test_shown_builtin_passes_validate(workdir, capsys, name):
     assert checks and all(line.startswith("  PASS ") for line in checks), checks
 
 
+def test_shown_relaxed_curve_loads_back(workdir, toy_file, capsys):
+    assert main(["curves", "show", "test17", "--curve-file", toy_file]) == 0
+    shown = capsys.readouterr().out
+    assert "strict = false\n" in shown
+    (workdir / "shown.conf").write_text(shown)
+    assert main(["curves", "show", "test17", "--curve-file", "shown.conf"]) == 0
+    assert capsys.readouterr().out == shown
+
+
 def test_curves_validate(workdir, toy_file, capsys):
     assert main(["curves", "validate", toy_file]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -351,6 +375,28 @@ def test_degenerate_field_modulus_exits_2_without_traceback(workdir, modulus):
         assert result.returncode == 2, (args, result.stderr)
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: ") and ">= 2" in result.stderr
+
+
+# p = 9 is composite and 1 (mod 4): decompressing the base would need a
+# Tonelli-Shanks root, whose search for a non-residue mod 9 never ends.
+C9_CONFIG = "name = c9\np = 9\na = 0\nb = 1\nbase = 0200\nn = 7\nh = 1\nstrict = false\n"
+
+
+def test_composite_modulus_under_compressed_base_exits_2_promptly(workdir):
+    (workdir / "c9.conf").write_text(C9_CONFIG)
+    for args in (
+        ("curves", "validate", "c9.conf"),
+        ("keygen", "--curves", "c9", "--curve-file", "c9.conf"),
+    ):
+        result = run_cli_process(*args, timeout=10)
+        assert result.returncode == 2, (args, result.stderr)
+        assert result.stderr == "error: c9.conf: field modulus 9 is not prime\n"
+
+
+def test_composite_modulus_under_uncompressed_base_is_reported(workdir, capsys):
+    (workdir / "c9.conf").write_text(C9_CONFIG.replace("base = 0200", "base = 040001"))
+    assert main(["curves", "validate", "c9.conf"]) == 1
+    assert "  FAIL field-modulus-prime\n" in capsys.readouterr().out
 
 
 NOT_UTF8 = b"\xff\xfe not UTF-8\n"
@@ -472,7 +518,7 @@ def test_bench_toy_retry_report_is_frozen(workdir, capsys):
     # seed 01 makes both schemes redraw a nonce while signing: the counts
     # exceed the predictions, so bench exits 1
     (workdir / "test17.conf").write_text(TEST17_CONFIG)
-    (workdir / "toy23.conf").write_text(format_curve_config(TOY23, strict=False))
+    (workdir / "toy23.conf").write_text(format_curve_config(TOY23))
     argv = [
         "bench", "--curve-file", "test17.conf", "--curve-file", "toy23.conf",
         "--curves", "test17,toy23,test17", "--length-samples", "5", "--seed", "01",

@@ -58,7 +58,7 @@ def file_content(text):
 
 def documents(tmp):
     """Valid TEST17 curve, key and signature documents, written by main."""
-    (tmp / "test17.curve").write_text(format_curve_config(TEST17, strict=False))
+    (tmp / "test17.curve").write_text(format_curve_config(TEST17))
     (tmp / "m.bin").write_bytes(b"fuzz")
     toy = ["--curve-file", str(tmp / "test17.curve")]
     key = ["--secret-out", str(tmp / "key.sec"), "--public-out", str(tmp / "key.pub")]

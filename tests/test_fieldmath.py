@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mecdsa import fieldmath
 from mecdsa._kernels import mod_inv
 from mecdsa.fieldmath import is_probable_prime, sqrt_mod
 from mecdsa.registry import default_registry
@@ -63,6 +64,24 @@ def test_sqrt_agrees_with_exhaustive_squaring(p):
             assert root in squares[x]
         else:
             assert root is None
+
+
+def test_sqrt_refuses_composite_modulus_instead_of_looping():
+    # 1 is a square mod 9 but no z has z^4 = -1 (mod 9), so the search
+    # for a non-residue would never end
+    with pytest.raises(ValueError, match="not prime"):
+        sqrt_mod(1, 9)
+
+
+def test_sqrt_tests_primality_only_for_tonelli_shanks(monkeypatch):
+    tested = []
+    monkeypatch.setattr(fieldmath, "is_probable_prime", lambda n: tested.append(n) or True)
+    secp256k1 = default_registry().get("secp256k1")
+    assert secp256k1.p % 4 == 3
+    assert sqrt_mod(4, secp256k1.p) in (2, secp256k1.p - 2)
+    assert tested == []
+    assert sqrt_mod(2, 17) in (6, 11)
+    assert tested == [17]
 
 
 def test_sqrt_on_builtin_fields():

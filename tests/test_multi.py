@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from mecdsa.curve import is_on_curve, scalar_mul
+from mecdsa import curve
+from mecdsa.curve import Point, is_on_curve, scalar_mul
 from mecdsa.ecdsa import (
     EcdsaSignature,
     Keypair,
@@ -161,6 +162,41 @@ def test_msign_roundtrip_builtin_pair():
     sig = msign(b"builtin pair", kp, rng)
     assert mverify(b"builtin pair", sig, kp.q, config)
     assert not mverify(b"builtin pair!", sig, kp.q, config)
+
+
+def test_points_are_checked_once_where_they_enter(monkeypatch):
+    # the group law does not re-check the points the scheme made or has
+    # checked: msign checks none, mverify checks each public key once
+    registry = default_registry()
+    config = MultiCurveConfig((registry.get("secp256k1"), registry.get("p256")))
+    rng = SeededNonceSource(53)
+    kp = mkeygen(config, rng)
+    checked = []
+
+    def counting_is_on_curve(pt, c):
+        checked.append(pt)
+        return is_on_curve(pt, c)
+
+    monkeypatch.setattr(curve, "is_on_curve", counting_is_on_curve)
+    sig = msign(b"check once", kp, rng)
+    assert checked == []
+    assert mverify(b"check once", sig, kp.q, config)
+    assert checked == list(kp.q)
+
+
+def test_mverify_refuses_public_keys_off_the_curve():
+    registry = default_registry()
+    config = MultiCurveConfig((registry.get("secp256k1"), registry.get("p256")))
+    rng = SeededNonceSource(59)
+    kp = mkeygen(config, rng)
+    sig = msign(b"off curve", kp, rng)
+    (q1, q2), c1 = kp.q, config.curves[0]
+    off_curve = Point(q1.x, (q1.y + 1) % c1.p)
+    # the same residues as Q_1, which the group law would compute with
+    outside_field = Point(q1.x + c1.p, q1.y)
+    for bad in (off_curve, outside_field):
+        assert not mverify(b"off curve", sig, (bad, q2), config)
+    assert mverify(b"off curve", sig, kp.q, config)
 
 
 def test_each_s_malleates_independently_on_builtin_pair():

@@ -141,7 +141,7 @@ def test_load_custom_rejects_duplicate_names(fresh_registry):
 
 def test_reentered_builtin_is_bit_identical(fresh_registry):
     original = fresh_registry.get("secp256k1")
-    text = format_curve_config(original, strict=True).replace(
+    text = format_curve_config(original).replace(
         "name = secp256k1", "name = k1copy"
     )
     copy = fresh_registry.load_custom(text)
@@ -150,7 +150,7 @@ def test_reentered_builtin_is_bit_identical(fresh_registry):
 
 def test_perturbed_order_fails_validation(fresh_registry):
     original = fresh_registry.get("secp256k1")
-    bad = format_curve_config(original, strict=True).replace(
+    bad = format_curve_config(original).replace(
         "name = secp256k1", "name = k1bad"
     ).replace(format(original.n, "x"), format(original.n + 2, "x"))
     with pytest.raises(CurveValidationError) as err:
@@ -162,14 +162,14 @@ def test_perturbed_order_fails_validation(fresh_registry):
 def test_config_roundtrip_every_builtin(registry):
     for name in registry.names():
         params = registry.get(name)
-        text = format_curve_config(params, strict=True)
+        text = format_curve_config(params)
         reparsed, strict = parse_curve_config(text)
         assert reparsed == params
         assert strict is True
 
 
 def test_config_roundtrip_toy():
-    text = format_curve_config(TEST17, strict=False)
+    text = format_curve_config(TEST17)
     reparsed, strict = parse_curve_config(text)
     assert reparsed == TEST17
     assert strict is False
