@@ -38,6 +38,7 @@ from mecdsa.errors import (
     InvalidPointError,
     MecdsaError,
     NonceExhaustedError,
+    NonceRangeError,
     UnknownCurveError,
 )
 from mecdsa.fieldmath import is_probable_prime, sqrt_mod
@@ -76,6 +77,7 @@ __all__ = [
     "MultiCurveKeypair",
     "MultiSignature",
     "NonceExhaustedError",
+    "NonceRangeError",
     "NonceSource",
     "OpCounts",
     "Point",

@@ -3,7 +3,11 @@
 Exit codes form a strict contract so scripts can tell refusal from error:
 0 success / signature valid, 1 cryptographic refusal (or bench count
 mismatch, or failed curve validation), 2 malformed input (unknown curve,
-bad file content, bad flags), 3 I/O failure.
+bad file content, bad flags), 3 I/O failure.  ``main`` alone maps errors
+to codes: malformed input raises a ``MecdsaError`` (exit 2), and an I/O
+failure an ``OSError`` that reads "cannot read <path>" or "cannot write
+<path>" (exit 3).  Every error about a file's content starts with its
+path, which ``_reading`` adds.
 
 Key and signature files are line-oriented UTF-8 "key = value" documents,
 all integers as lowercase big-endian hex without a prefix.  Secret
@@ -13,6 +17,7 @@ arithmetic is not constant-time, so do not use it to guard real funds.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -58,72 +63,59 @@ EXIT_IO = 3
 _FILE_VERSION = "1"
 
 
-class _CliFailure(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
-def _fail_input(message):
-    raise _CliFailure(EXIT_BAD_INPUT, message)
-
-
-def _read_text(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        _fail_input(f"{path}: {exc}")
-
-
-def _write_text(path, text):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot write {path}: {exc}") from None
-
-
-def _write_secret(path, text):
-    """Write ``text`` to a file only its owner can read.  ``os.open`` sets
-    the mode only on a file it creates, so the descriptor is restricted
-    too, before the first byte goes in."""
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with open(fd, "w", encoding="utf-8") as fh:
-            os.chmod(fd, 0o600)
-            fh.write(text)
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot write {path}: {exc}") from None
-
-
-def _read_message(path):
-    if path == "-":
-        return sys.stdin.buffer.read()
+def _read(path) -> bytes:
     try:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc}") from None
+        raise OSError(f"cannot read {path}: {exc}") from None
+
+
+def _read_message(path) -> bytes:
+    """The message file, or standard input for ``-``."""
+    return sys.stdin.buffer.read() if path == "-" else _read(path)
+
+
+def _write(path, text, secret=False):
+    """Write ``text`` to ``path``.  A secret file is made readable by its
+    owner only before its first byte goes in: ``os.open`` sets the mode
+    only on a file it creates, so the descriptor is restricted too."""
+    mode = 0o600 if secret else 0o666
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode)
+        with open(fd, "w", encoding="utf-8") as fh:
+            if secret:
+                os.chmod(fd, mode)
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """Name ``path`` in any error about the content read inside the block:
+    a missing key, a ``MecdsaError``, or a ``ValueError`` such as bad UTF-8.
+    An I/O failure passes through, since it names the file already."""
+    try:
+        yield
+    except (KeyError, MecdsaError, ValueError) as exc:
+        detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise FormatError(f"{path}: {detail}") from None
 
 
 def _build_registry(curve_files) -> CurveRegistry:
     registry = CurveRegistry()
     for path in curve_files or ():
-        text = _read_text(path)
-        try:
+        with _reading(path):
+            text = _read(path).decode("utf-8")
             registry.load_custom(text, source=os.path.basename(path))
-        except MecdsaError as exc:
-            _fail_input(f"{path}: {exc}")
     return registry
 
 
 def _curve_names(names_csv) -> "list[str]":
     names = [n.strip() for n in names_csv.split(",") if n.strip()]
     if not names:
-        _fail_input("curve list is empty")
+        raise FormatError("curve list is empty")
     return names
 
 
@@ -146,56 +138,57 @@ def _kv_document(pairs) -> str:
 
 
 def _read_document(path) -> "dict[str, str]":
-    """The "key = value" pairs of a key or signature file of version 1."""
-    try:
-        kv = parse_kv_lines(_read_text(path))
-    except FormatError as exc:
-        _fail_input(f"{path}: {exc}")
+    """The "key = value" pairs of a key or signature file of version 1;
+    call it inside ``_reading(path)``."""
+    kv = parse_kv_lines(_read(path).decode("utf-8"))
     if kv.get("version") != _FILE_VERSION:
-        _fail_input(f"{path}: unsupported file version {kv.get('version', '')!r}")
+        raise FormatError(f"unsupported file version {kv.get('version', '')!r}")
     return kv
 
 
 def _load_key_file(path, registry, need_secret):
-    kv = _read_document(path)
-    try:
+    with _reading(path):
+        kv = _read_document(path)
         names = [n.strip() for n in kv["curves"].split(",")]
         config = _resolve_config(names, registry)
         q_texts = kv["q"].split(",")
         if len(q_texts) != config.t:
-            _fail_input(f"{path}: q list does not match curve list")
+            raise FormatError("q list does not match curve list")
         publics = tuple(decode_point(q, c) for q, c in zip(q_texts, config.curves))
         for c, q in zip(config.curves, publics):
             if q.is_infinity:
-                _fail_input(f"{path}: public point on {c.name} is the identity")
+                raise FormatError(f"public point on {c.name} is the identity")
         if not need_secret:
             return config, None, publics
         if "d" not in kv:
-            _fail_input(f"{path}: no private scalars in this file (is it public?)")
+            raise FormatError("no private scalars in this file (is it public?)")
         ds = tuple(hex_to_int(v.strip(), "d") for v in kv["d"].split(","))
         if len(ds) != config.t:
-            _fail_input(f"{path}: d list does not match curve list")
+            raise FormatError("d list does not match curve list")
         keypair = MultiCurveKeypair(config, ds, publics)
         for c, d, q in zip(config.curves, ds, publics):
             if not 1 <= d < c.n:
-                _fail_input(f"{path}: d on {c.name} is outside [1, n-1]")
+                raise FormatError(f"d on {c.name} is outside [1, n-1]")
             if curve.scalar_mul(d, c.base, c) != q:
-                _fail_input(f"{path}: stored public point does not match d*P on {c.name}")
+                raise FormatError(f"stored public point does not match d*P on {c.name}")
         return config, keypair, publics
-    except KeyError as exc:
-        _fail_input(f"{path}: missing key {exc.args[0]!r}")
-    except (MecdsaError, ValueError) as exc:
-        _fail_input(f"{path}: {exc}")
+
+
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one file, through links or not."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _cmd_keygen(args):
+    # the public document would overwrite the secret one, and d be lost
+    if _same_file(args.secret_out, args.public_out):
+        raise FormatError("--secret-out and --public-out are the same file")
     registry = _build_registry(args.curve_file)
     config = _resolve_config(_curve_names(args.curves), registry)
-    rng = _nonce_source(args)
-    try:
-        keypair = mkeygen(config, rng)
-    except ValueError as exc:  # the nonce source cannot draw below this order
-        _fail_input(str(exc))
+    keypair = mkeygen(config, _nonce_source(args))
     names = ",".join(c.name for c in config.curves)
     qs = ",".join(encode_point(q, c) for q, c in zip(keypair.q, config.curves))
     secret = _kv_document(
@@ -207,8 +200,8 @@ def _cmd_keygen(args):
         ]
     )
     public = _kv_document([("version", _FILE_VERSION), ("curves", names), ("q", qs)])
-    _write_secret(args.secret_out, secret)
-    _write_text(args.public_out, public)
+    _write(args.secret_out, secret, secret=True)
+    _write(args.public_out, public)
     print(f"wrote {args.secret_out} (secret) and {args.public_out} (public)")
     return EXIT_OK
 
@@ -219,14 +212,11 @@ def _cmd_sign(args):
     message = _read_message(getattr(args, "in"))
     nonces = _nonce_source(args)
     names = ",".join(c.name for c in config.curves)
-    try:
-        if args.scheme == "mecdsa":
-            sig_text = encode_multisig(msign(message, keypair, nonces)).hex()
-        else:
-            pairs = t_ecdsa_sign(message, keypair, nonces).pairs
-            sig_text = ",".join(format_signature(pair) for pair in pairs)
-    except ValueError as exc:  # a --nonces entry outside [1, n-1]
-        _fail_input(str(exc))
+    if args.scheme == "mecdsa":
+        sig_text = encode_multisig(msign(message, keypair, nonces)).hex()
+    else:
+        pairs = t_ecdsa_sign(message, keypair, nonces).pairs
+        sig_text = ",".join(format_signature(pair) for pair in pairs)
     doc = _kv_document(
         [
             ("version", _FILE_VERSION),
@@ -235,7 +225,7 @@ def _cmd_sign(args):
             ("signature", sig_text),
         ]
     )
-    _write_text(args.out, doc)
+    _write(args.out, doc)
     print(f"wrote {args.out} ({args.scheme}, t={config.t})")
     return EXIT_OK
 
@@ -244,12 +234,12 @@ def _cmd_verify(args):
     registry = _build_registry(args.curve_file)
     config, _, publics = _load_key_file(args.public, registry, need_secret=False)
     message = _read_message(getattr(args, "in"))
-    kv = _read_document(args.sig)
-    try:
+    with _reading(args.sig):
+        kv = _read_document(args.sig)
         scheme = kv["scheme"]
         sig_names = [n.strip() for n in kv["curves"].split(",")]
         if sig_names != [c.name for c in config.curves]:
-            _fail_input(f"{args.sig}: curve list does not match the key file")
+            raise FormatError("curve list does not match the key file")
         if scheme == "mecdsa":
             sig = decode_multisig(bytes.fromhex(kv["signature"]))
             ok = mverify(message, sig, publics, config)
@@ -259,31 +249,26 @@ def _cmd_verify(args):
             )
             ok = t_ecdsa_verify(message, TEcdsaSignature(pairs), publics, config)
         else:
-            _fail_input(f"{args.sig}: unknown scheme {scheme!r}")
-    except KeyError as exc:
-        _fail_input(f"{args.sig}: missing key {exc.args[0]!r}")
-    except (MecdsaError, ValueError) as exc:
-        _fail_input(f"{args.sig}: {exc}")
+            raise FormatError(f"unknown scheme {scheme!r}")
     print("VALID" if ok else "INVALID")
     return EXIT_OK if ok else EXIT_REFUSED
 
 
-def _cmd_curves(args):
-    if args.curves_cmd == "list":
-        registry = _build_registry(args.curve_file)
-        for name, bits, source in registry.list_curves():
-            print(f"{name:<12} {bits:>4} bits   {source}")
-        return EXIT_OK
-    if args.curves_cmd == "show":
-        registry = _build_registry(args.curve_file)
-        sys.stdout.write(format_curve_config(registry.get(args.name)))
-        return EXIT_OK
-    # validate
-    text = _read_text(args.file)
-    try:
-        params, strict = parse_curve_config(text)
-    except MecdsaError as exc:
-        _fail_input(f"{args.file}: {exc}")
+def _cmd_curves_list(args):
+    for name, bits, source in _build_registry(args.curve_file).list_curves():
+        print(f"{name:<12} {bits:>4} bits   {source}")
+    return EXIT_OK
+
+
+def _cmd_curves_show(args):
+    registry = _build_registry(args.curve_file)
+    sys.stdout.write(format_curve_config(registry.get(args.name)))
+    return EXIT_OK
+
+
+def _cmd_curves_validate(args):
+    with _reading(args.file):
+        params, strict = parse_curve_config(_read(args.file).decode("utf-8"))
     report = validate_curve_params(params, strict=strict)
     print(report)
     return EXIT_OK if report.ok else EXIT_REFUSED
@@ -293,7 +278,7 @@ def _cmd_bench(args):
     registry = _build_registry(args.curve_file)
     names = _curve_names(args.curves)
     if args.length_samples < 1:
-        _fail_input("length-samples must be >= 1")
+        raise FormatError("length-samples must be >= 1")
     config = _resolve_config(names, registry)
     seed = hex_to_int(args.seed, "seed") if args.seed is not None else 0
     lengths = benchmod.signature_length_report(config, args.length_samples, seed)
@@ -347,17 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("curves", help="inspect and validate curve parameters")
-    curves_sub = p.add_subparsers(dest="curves_cmd", required=True)
+    curves_sub = p.add_subparsers(required=True)
     q = curves_sub.add_parser("list", help="list known curves")
     q.add_argument("--curve-file", **common_curve_file)
-    q.set_defaults(fn=_cmd_curves)
+    q.set_defaults(fn=_cmd_curves_list)
     q = curves_sub.add_parser("show", help="print one curve as a config document")
     q.add_argument("name")
     q.add_argument("--curve-file", **common_curve_file)
-    q.set_defaults(fn=_cmd_curves)
+    q.set_defaults(fn=_cmd_curves_show)
     q = curves_sub.add_parser("validate", help="validate a curve config file")
     q.add_argument("file")
-    q.set_defaults(fn=_cmd_curves)
+    q.set_defaults(fn=_cmd_curves_validate)
 
     p = sub.add_parser("bench", help="operation counts and signature lengths")
     p.add_argument(
@@ -379,13 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _CliFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except MecdsaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -24,7 +24,7 @@ from mecdsa import _kernels
 from mecdsa import curve as curvemod
 from mecdsa._hex import hex_to_int, int_to_hex
 from mecdsa.curve import CurveParams, Point
-from mecdsa.errors import FormatError, NonceExhaustedError
+from mecdsa.errors import FormatError, NonceExhaustedError, NonceRangeError
 from mecdsa.opcount import Trace
 
 
@@ -54,7 +54,7 @@ class NonceSource:
 def _rejection_draw(randbits, order: int) -> int:
     """Draw l(order)-bit values from ``randbits`` until one is in [1, order-1]."""
     if order < 3:
-        raise ValueError("order too small to draw from")
+        raise NonceRangeError("order too small to draw from")
     bits = order.bit_length()
     while True:
         k = randbits(bits)
@@ -86,7 +86,7 @@ class ListNonceSource(NonceSource):
     """Explicit nonce list consumed in order (test mode).
 
     Makes every retry path deterministic.  Raises NonceExhaustedError
-    when the list runs out and ValueError for an out-of-range entry.
+    when the list runs out and NonceRangeError for an out-of-range entry.
     """
 
     def __init__(self, values):
@@ -105,7 +105,7 @@ class ListNonceSource(NonceSource):
         k = self._values[self._next]
         self._next += 1
         if not 1 <= k <= order - 1:
-            raise ValueError(f"nonce {k} outside [1, {order - 1}]")
+            raise NonceRangeError(f"nonce {k} outside [1, {order - 1}]")
         return k
 
 
@@ -126,8 +126,8 @@ def keygen(curve: CurveParams, rng: NonceSource) -> Keypair:
     """Draw d uniformly from [1, n-1] and compute Q = d*P."""
     try:
         d = rng.draw(curve.n)
-    except ValueError as exc:
-        raise ValueError(f"cannot make a key on {curve.name}: {exc}") from None
+    except NonceRangeError as exc:
+        raise NonceRangeError(f"cannot make a key on {curve.name}: {exc}") from None
     return Keypair(curve, d, curvemod.scalar_mul(d, curve.base, curve))
 
 

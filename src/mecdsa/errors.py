@@ -36,5 +36,10 @@ class DuplicateCurveError(MecdsaError):
     """Curve name already registered (names are case-insensitive)."""
 
 
+class NonceRangeError(MecdsaError, ValueError):
+    """A nonce source cannot give a scalar in [1, order-1]: the order is
+    below 3, or a listed nonce lies outside that range."""
+
+
 class NonceExhaustedError(MecdsaError):
     """A test-mode nonce list ran out before a valid signature was found."""

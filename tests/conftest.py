@@ -1,6 +1,9 @@
 """Shared fixtures: toy curves whose constants the suite itself re-derives
-by exhaustive enumeration, plus an acceptance-criteria summary hook."""
+by exhaustive enumeration, a time bound on every test, plus an
+acceptance-criteria summary hook."""
 
+import faulthandler
+import os
 import random
 
 import pytest
@@ -55,6 +58,31 @@ def toy_pair_config():
 @pytest.fixture(scope="session")
 def registry():
     return default_registry()
+
+
+# Twice the 300 s bound of the slowest acceptance criterion.
+TEST_TIME_BOUND_S = 600
+_REAL_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # While a test runs, descriptor 2 is pytest's capture file, whose
+    # content is lost when the process exits; keep the real stderr.
+    config.stash[_REAL_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_REAL_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def time_bound(request):
+    """A test that runs past the bound, a hang in-process included, dumps
+    every thread's traceback to stderr and ends the run with status 1."""
+    stderr = request.config.stash[_REAL_STDERR]
+    faulthandler.dump_traceback_later(TEST_TIME_BOUND_S, exit=True, file=stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -496,16 +496,43 @@ def test_empty_seed_or_nonces_exits_2(workdir, toy_file, capsys, argv):
     assert not (workdir / "m.sig").exists()
 
 
+# passes relaxed validation (n = 2 is prime and kills the base point),
+# but no nonce source can draw from [1, 1]
+TINY_CONFIG = "name = tiny\np = 5\na = 0\nb = 1\nbase = 040400\nn = 2\nh = 3\nstrict = false\n"
+TINY_ERROR = "error: cannot make a key on tiny: order too small to draw from\n"
+
+
 def test_keygen_order_too_small_exits_2(workdir, capsys):
-    # passes relaxed validation (n = 2 is prime and kills the base point),
-    # but no nonce source can draw from [1, 1]
-    tiny = "name = tiny\np = 5\na = 0\nb = 1\nbase = 040400\nn = 2\nh = 3\nstrict = false\n"
-    (workdir / "tiny.conf").write_text(tiny)
+    (workdir / "tiny.conf").write_text(TINY_CONFIG)
     for seed in ([], ["--seed", "3"]):
         argv = ["keygen", "--curves", "tiny", "--curve-file", "tiny.conf", *seed]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err == "error: cannot make a key on tiny: order too small to draw from\n"
+        assert capsys.readouterr().err == TINY_ERROR
+
+
+def test_bench_order_too_small_exits_2_without_traceback(workdir):
+    (workdir / "tiny.conf").write_text(TINY_CONFIG)
+    argv = ["bench", "--curves", "tiny", "--curve-file", "tiny.conf", "--length-samples", "1"]
+    result = run_cli_process(*argv)
+    assert (result.returncode, result.stderr, result.stdout) == (2, TINY_ERROR, "")
+
+
+@pytest.mark.parametrize("public_out", ["k", "./k", "sub/../k", "symlink", "hardlink"])
+def test_keygen_refuses_one_file_for_both_keys(workdir, capsys, public_out):
+    # the public document written second would leave no copy of d
+    (workdir / "sub").mkdir()
+    (workdir / "k").write_bytes(b"old\n")
+    os.symlink("k", workdir / "symlink")
+    os.link(workdir / "k", workdir / "hardlink")
+    argv = ["keygen", "--seed", "1", "--secret-out", "k", "--public-out", public_out]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --secret-out and --public-out are the same file\n"
+    assert captured.out == ""
+    assert (workdir / "k").read_bytes() == b"old\n"
+    # the same holds for a path that does not exist yet
+    assert main(["keygen", "--secret-out", "new", "--public-out", "sub/../new"]) == 2
+    assert not (workdir / "new").exists()
 
 
 def test_bench_counts_match_and_report(workdir, capsys):

@@ -1,8 +1,8 @@
 """Fuzz of the CLI's ``main()``: whatever the key, signature and curve
-files hold and whatever ``--nonces`` says, ``main`` returns an exit code
-from 0 to 3 and lets no exception escape.  Files are either arbitrary
-bytes or a valid document with one line dropped, doubled or rewritten.
-The TEST17 toy curve keeps each example fast."""
+files hold and whatever ``--nonces`` says, every subcommand returns an
+exit code from 0 to 3 and lets no exception escape ``main``.  Files are
+either arbitrary bytes or a valid document with one line dropped, doubled
+or rewritten.  The TEST17 toy curve keeps each example fast."""
 
 import contextlib
 import io
@@ -84,7 +84,8 @@ def test_fuzz_main_exit_codes(tmp_path):
         curve = put("test17.curve", data.draw(file_content(docs["test17.curve"])))
         message = str(tmp_path / "m.bin")
         out = str(tmp_path / "out")
-        command = data.draw(st.sampled_from(["keygen", "sign", "verify", "validate"]))
+        commands = ["keygen", "sign", "verify", "validate", "bench", "show", "list"]
+        command = data.draw(st.sampled_from(commands))
         if command == "keygen":
             argv = ["keygen", "--curves", "test17", "--seed", "5"]
             argv += ["--secret-out", out + ".sec", "--public-out", out + ".pub"]
@@ -98,6 +99,12 @@ def test_fuzz_main_exit_codes(tmp_path):
             sig_doc = docs[data.draw(st.sampled_from(["mecdsa.sig", "t-ecdsa.sig"]))]
             sig = put("sig", data.draw(file_content(sig_doc)))
             argv = ["verify", "--public", public, "--in", message, "--sig", sig]
+        elif command == "bench":
+            argv = ["bench", "--curves", "test17", "--length-samples", "1"]
+        elif command == "show":
+            argv = ["curves", "show", "test17"]
+        elif command == "list":
+            argv = ["curves", "list"]
         else:
             argv = ["curves", "validate", curve]
         if command != "validate":
