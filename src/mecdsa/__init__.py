@@ -4,8 +4,9 @@ One signature over t independently-chosen curves: per-curve nonce points
 give residues r_i, the shared value r is their plain integer sum, and
 each curve contributes one s_i binding r under its own order.  Compared
 with running ECDSA once per curve, the signature carries a single r
-instead of t of them.  The package also ships classic single-curve ECDSA,
-the run-it-t-times baseline, a cost-model bench, and a CLI.
+instead of t of them.  At t = 1 the scheme is plain ECDSA, bit for bit,
+so a one-curve config is how the package signs with ECDSA.  The package
+also ships the run-it-t-times baseline, a cost-model bench, and a CLI.
 
 NOT production-hardened: arithmetic is not constant-time, key files are
 unencrypted, and nonce handling favors testability.  Desk-scale use only.
@@ -20,16 +21,11 @@ from mecdsa.curve import (
     validate_curve_params,
 )
 from mecdsa.ecdsa import (
-    EcdsaSignature,
-    Keypair,
     ListNonceSource,
     NonceSource,
     SeededNonceSource,
     SystemNonceSource,
     hash_to_int,
-    keygen,
-    sign,
-    verify,
 )
 from mecdsa.errors import (
     CurveValidationError,
@@ -66,11 +62,9 @@ __all__ = [
     "CurveRegistry",
     "CurveValidationError",
     "DuplicateCurveError",
-    "EcdsaSignature",
     "FormatError",
     "INFINITY",
     "InvalidPointError",
-    "Keypair",
     "ListNonceSource",
     "MecdsaError",
     "MultiCurveConfig",
@@ -93,14 +87,11 @@ __all__ = [
     "hash_to_int",
     "is_on_curve",
     "is_probable_prime",
-    "keygen",
     "mkeygen",
     "msign",
     "mverify",
-    "sign",
     "sqrt_mod",
     "t_ecdsa_sign",
     "t_ecdsa_verify",
     "validate_curve_params",
-    "verify",
 ]

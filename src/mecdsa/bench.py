@@ -30,6 +30,7 @@ from mecdsa.ecdsa import NonceSource, SeededNonceSource
 from mecdsa.multi import (
     MultiCurveConfig,
     MultiCurveKeypair,
+    MultiSignature,
     mkeygen,
     msign,
     mverify,
@@ -101,6 +102,10 @@ class LengthReport:
     tecdsa_measured_max: int
 
 
+def _payload_bits(sig: MultiSignature) -> int:
+    return sig.r.bit_length() + sum(s.bit_length() for s in sig.s)
+
+
 def signature_length_report(
     config: MultiCurveConfig, samples: int = 100, seed: int = 0
 ) -> LengthReport:
@@ -118,10 +123,9 @@ def signature_length_report(
     msg_rng = random.Random(seed ^ 0x5BD1E995)
     for _ in range(samples):
         message = msg_rng.randbytes(64)
-        sig = msign(message, keypair, rng)
-        m_bits.append(sig.r.bit_length() + sum(s.bit_length() for s in sig.s))
+        m_bits.append(_payload_bits(msign(message, keypair, rng)))
         pairs = t_ecdsa_sign(message, keypair, rng).pairs
-        b_bits.append(sum(p.r.bit_length() + p.s.bit_length() for p in pairs))
+        b_bits.append(sum(_payload_bits(p) for p in pairs))
     orders = [c.n for c in config.curves]
     return LengthReport(
         t=config.t,

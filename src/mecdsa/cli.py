@@ -30,8 +30,6 @@ from mecdsa.ecdsa import (
     NonceSource,
     SeededNonceSource,
     SystemNonceSource,
-    format_signature,
-    parse_signature,
 )
 from mecdsa.errors import FormatError, MecdsaError
 from mecdsa.multi import (
@@ -40,9 +38,11 @@ from mecdsa.multi import (
     TEcdsaSignature,
     decode_multisig,
     encode_multisig,
+    format_signature,
     mkeygen,
     msign,
     mverify,
+    parse_signature,
     t_ecdsa_sign,
     t_ecdsa_verify,
 )

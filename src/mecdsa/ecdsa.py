@@ -1,30 +1,29 @@
-"""Single-curve ECDSA over any registry curve.
+"""The per-curve steps of ECDSA, and the nonce sources that feed them.
 
-Signing: e = H(m); pick a nonce k in [1, n-1]; (x, y) = k*P; r = x mod n
-(retry on r = 0); s = k^-1 (e + d*r) mod n (retry on s = 0).
-Verification recomputes R = (e/s)*P + (r/s)*Q and accepts when r matches
-R's x-coordinate mod n.  H is SHA-256 and e enters every formula reduced
-modulo the order, so curves of any size work.
+ECDSA on one curve: e = H(m); pick a nonce k in [1, n-1]; (x, y) = k*P;
+r = x mod n; s = k^-1 (e + d*r) mod n, with a fresh k whenever r or s
+is 0.  Verification recomputes R = (e/s)*P + (r/s)*Q and accepts when r
+matches R's x-coordinate mod n.  H is SHA-256 and e enters every formula
+reduced modulo the order, so curves of any size work.
+
+Plain ECDSA is MECDSA at t = 1: ``mecdsa.multi`` runs these steps once
+per curve for both schemes, and a one-curve ``msign``/``mverify`` is
+ECDSA bit for bit.  Each step (nonce point, s, public-key check,
+recovery of R) is written once, with its operation tallies.
 
 The private key d lies in [1, n-1]: d = n would give Q = O, which is
 unusable.  Verification also rejects R = O, whose x-coordinate does not
 exist.
-
-Each per-curve step (nonce point, s, public-key check, recovery of R) is
-written once here, with its operation tallies, and ``mecdsa.multi`` runs
-the same steps once per curve.
 """
 
 import hashlib
 import random
 import secrets
-from dataclasses import dataclass
 
 from mecdsa import _kernels
 from mecdsa import curve as curvemod
-from mecdsa._hex import hex_to_int, int_to_hex
 from mecdsa.curve import CurveParams, Point
-from mecdsa.errors import FormatError, NonceExhaustedError, NonceRangeError
+from mecdsa.errors import NonceExhaustedError, NonceRangeError
 from mecdsa.opcount import Trace
 
 
@@ -109,28 +108,6 @@ class ListNonceSource(NonceSource):
         return k
 
 
-@dataclass(frozen=True)
-class Keypair:
-    curve: CurveParams
-    d: int
-    q: Point
-
-
-@dataclass(frozen=True)
-class EcdsaSignature:
-    r: int
-    s: int
-
-
-def keygen(curve: CurveParams, rng: NonceSource) -> Keypair:
-    """Draw d uniformly from [1, n-1] and compute Q = d*P."""
-    try:
-        d = rng.draw(curve.n)
-    except NonceRangeError as exc:
-        raise NonceRangeError(f"cannot make a key on {curve.name}: {exc}") from None
-    return Keypair(curve, d, curvemod.scalar_mul(d, curve.base, curve))
-
-
 def _nonce_point(
     curve: CurveParams, nonces: NonceSource, trace: "Trace | None"
 ) -> "tuple[int, Point, int]":
@@ -192,73 +169,11 @@ def _recover_r(
     return r_prime
 
 
-def sign(
-    message: bytes,
-    keypair: Keypair,
-    nonces: NonceSource,
-    trace: "Trace | None" = None,
-) -> EcdsaSignature:
-    """Sign; retries draw a fresh nonce until r != 0 and s != 0."""
-    c = keypair.curve
-    e = hash_to_int(message)
-    while True:
-        k, kp, r = _nonce_point(c, nonces, trace)
-        s = _sign_scalar(k, keypair.d, r, e, c.n, trace)
-        if s != 0:
-            break
-        if trace is not None:
-            trace.retries += 1
-    if trace is not None:
-        trace.nonces.append(k)
-        trace.points.append(kp)
-        trace.r_values.append(r)
-    return EcdsaSignature(r, s)
-
-
-def verify(
-    message: bytes,
-    sig: EcdsaSignature,
-    public: Point,
-    curve: CurveParams,
-    trace: "Trace | None" = None,
-) -> bool:
-    """Accept or reject; never raises for bad signatures.
-
-    The range check on (r, s) runs before any arithmetic, so rejected
-    garbage costs nothing measurable.
-    """
-    n = curve.n
-    if not (1 <= sig.r <= n - 1 and 1 <= sig.s <= n - 1):
-        return False
-    if not _public_key_ok(public, curve):
-        return False
-    return sig.r == _recover_r(hash_to_int(message), sig.r, sig.s, public, curve, trace)
-
-
-def format_signature(sig: EcdsaSignature) -> str:
-    """Text form "r:s", two lowercase hex integers."""
-    return f"{int_to_hex(sig.r)}:{int_to_hex(sig.s)}"
-
-
-def parse_signature(text: str) -> EcdsaSignature:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise FormatError(f"signature must be 'r:s', got {text!r}")
-    return EcdsaSignature(hex_to_int(parts[0], "r"), hex_to_int(parts[1], "s"))
-
-
 __all__ = [
-    "EcdsaSignature",
-    "Keypair",
     "ListNonceSource",
     "NonceExhaustedError",
     "NonceSource",
     "SeededNonceSource",
     "SystemNonceSource",
-    "format_signature",
     "hash_to_int",
-    "keygen",
-    "parse_signature",
-    "sign",
-    "verify",
 ]

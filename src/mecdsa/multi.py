@@ -1,5 +1,5 @@
 """The multi-curve signature scheme (MECDSA) and the run-it-t-times
-ECDSA baseline, plus the binary wire encoding.
+ECDSA baseline, plus the binary wire encoding and the "r:s" text.
 
 Over an ordered list of curves E_1..E_t (duplicates allowed), a
 multi-signature on message m is (r, s_1..s_t):
@@ -12,14 +12,26 @@ If r = 0 (mod n_i) for any i — or any s_i lands on 0, which is a shared
 failure because every s_j depends on r — the whole pass restarts with
 fresh nonces for all curves.  Verification recomputes R_i =
 (e/s_i)*P_i + (r/s_i)*Q_i per curve and accepts when r equals the sum of
-the recovered x-coordinates reduced per curve.  Each per-curve step is
-the one ``mecdsa.ecdsa`` runs for plain ECDSA, tallies included; only the
-r sum, the restart rule and the range checks live here.  For t = 1 all of
-this degenerates, bit for bit, to plain ECDSA.
+the recovered x-coordinates reduced per curve.  Each per-curve step comes
+from ``mecdsa.ecdsa``, tallies included; only the r sum, the restart rule
+and the range checks live here.  For t = 1 all of this is plain ECDSA,
+bit for bit, so the library has no other signer: the t-ECDSA baseline is
+a one-curve ``msign``/``mverify`` per curve.
 
 Because r is unreduced it lies in [t, n_1+...+n_t - t] for any genuine
 signature, which is also the verifier's first range check (closed
 interval, boundaries accepted).
+
+One weak curve is enough to forge.  The verifier checks only the sum of
+the r'_i, and an honest curve's pair needs no secret: for any r, the
+public (R_i, s_i) = (a*(e*P_i + r*Q_i), a^-1 mod n_i) verifies there for
+every a.  A forger who can take discrete logs on one curve of the list
+fixes r, makes such pairs on the others, and signs for whatever residue
+is left on the weak curve (``tests/test_weak_curve_forgery.py``).  So a
+MECDSA key is no stronger than its weakest curve.  The t-ECDSA baseline
+keeps the property that one honest curve suffices, since each of its
+pairs is a whole ECDSA signature, at 1024 bits against 769 at t = 2 on
+two 256-bit curves.
 
 Nonces are drawn in curve-index order from a single source, so test-mode
 runs are reproducible; the r sum is the join point of the per-curve work.
@@ -27,21 +39,18 @@ runs are reproducible; the r sum is the join point of the per-curve work.
 
 from dataclasses import dataclass
 
+from mecdsa import curve as curvemod
+from mecdsa._hex import hex_to_int, int_to_hex
 from mecdsa.curve import CurveParams, Point
 from mecdsa.ecdsa import (
-    EcdsaSignature,
-    Keypair,
     NonceSource,
     _nonce_point,
     _public_key_ok,
     _recover_r,
     _sign_scalar,
     hash_to_int,
-    keygen,
 )
-from mecdsa.ecdsa import sign as ecdsa_sign
-from mecdsa.ecdsa import verify as ecdsa_verify
-from mecdsa.errors import FormatError
+from mecdsa.errors import FormatError, NonceRangeError
 from mecdsa.opcount import Trace
 
 
@@ -92,9 +101,10 @@ class MultiSignature:
 
 @dataclass(frozen=True)
 class TEcdsaSignature:
-    """Baseline signature: one independent (r_i, s_i) pair per curve."""
+    """Baseline signature: one independent ECDSA signature per curve, each
+    a one-curve ``MultiSignature``."""
 
-    pairs: "tuple[EcdsaSignature, ...]"
+    pairs: "tuple[MultiSignature, ...]"
 
     @property
     def t(self) -> int:
@@ -102,11 +112,17 @@ class TEcdsaSignature:
 
 
 def mkeygen(config: MultiCurveConfig, rng: NonceSource) -> MultiCurveKeypair:
-    """One independent keypair per curve, drawn in index order."""
-    pairs = [keygen(c, rng) for c in config.curves]
-    return MultiCurveKeypair(
-        config, tuple(kp.d for kp in pairs), tuple(kp.q for kp in pairs)
-    )
+    """One independent keypair per curve, drawn in index order: d_i
+    uniform in [1, n_i - 1] and Q_i = d_i * P_i."""
+    ds, qs = [], []
+    for c in config.curves:
+        try:
+            d = rng.draw(c.n)
+        except NonceRangeError as exc:
+            raise NonceRangeError(f"cannot make a key on {c.name}: {exc}") from None
+        ds.append(d)
+        qs.append(curvemod.scalar_mul(d, c.base, c))
+    return MultiCurveKeypair(config, tuple(ds), tuple(qs))
 
 
 def msign(
@@ -190,10 +206,12 @@ def t_ecdsa_sign(
     nonces: NonceSource,
     trace: "Trace | None" = None,
 ) -> TEcdsaSignature:
-    """Baseline: an independent ECDSA signature per curve, same message."""
+    """Baseline: an independent ECDSA signature per curve, same message;
+    each is a one-curve ``msign``."""
     pairs = []
     for c, d, q in zip(keypair.config.curves, keypair.d, keypair.q):
-        pairs.append(ecdsa_sign(message, Keypair(c, d, q), nonces, trace))
+        one = MultiCurveKeypair(MultiCurveConfig((c,)), (d,), (q,))
+        pairs.append(msign(message, one, nonces, trace))
     return TEcdsaSignature(tuple(pairs))
 
 
@@ -204,11 +222,12 @@ def t_ecdsa_verify(
     config: MultiCurveConfig,
     trace: "Trace | None" = None,
 ) -> bool:
-    """Accept iff every per-curve signature verifies."""
+    """Accept iff every per-curve signature verifies as a one-curve
+    ``mverify``."""
     if sig.t != config.t or len(publics) != config.t:
         return False
     for c, pair, q in zip(config.curves, sig.pairs, publics):
-        if not ecdsa_verify(message, pair, q, c, trace):
+        if not mverify(message, pair, (q,), MultiCurveConfig((c,)), trace):
             return False
     return True
 
@@ -263,3 +282,16 @@ def decode_multisig(data: bytes) -> MultiSignature:
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes", offset=offset)
     return MultiSignature(values[0], tuple(values[1:]))
+
+
+def format_signature(sig: MultiSignature) -> str:
+    """Text form "r:s" of a one-curve signature, two lowercase hex integers."""
+    (s,) = sig.s
+    return f"{int_to_hex(sig.r)}:{int_to_hex(s)}"
+
+
+def parse_signature(text: str) -> MultiSignature:
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise FormatError(f"signature must be 'r:s', got {text!r}")
+    return MultiSignature(hex_to_int(parts[0], "r"), (hex_to_int(parts[1], "s"),))

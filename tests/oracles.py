@@ -5,7 +5,8 @@ Fermat exponentiation, scalar multiplication through literal repeated
 addition (or, on full-size curves, an affine right-to-left ladder built on
 the same addition), and the signing procedures are straight-line transcriptions
 with no retry logic (vectors are chosen so retries never trigger, and the
-assertions document that).  Only practical on toy-sized curves.
+assertions document that).  Repeated addition is only practical on
+toy-sized curves.
 """
 
 import hashlib
@@ -81,11 +82,13 @@ def hash_int(message):
     return int.from_bytes(hashlib.sha256(message).digest(), "big")
 
 
-def ecdsa_sign_oracle(message, d, k, toy):
-    """Straight-line single-curve signing; asserts no retry is needed."""
+def ecdsa_sign_oracle(message, d, k, toy, mul=repeated_add):
+    """Straight-line single-curve signing; asserts no retry is needed.
+    ``mul`` is the scalar multiplication: ``affine_ladder`` on full-size
+    curves."""
     p, a, _b, gx, gy, n = toy
     e = hash_int(message)
-    x, _y = repeated_add(k, (gx, gy), a, p)
+    x, _y = mul(k, (gx, gy), a, p)
     r = x % n
     assert r != 0, "oracle vector would need an r retry"
     s = fermat_inv(k, n) * (e + d * r) % n
@@ -93,8 +96,8 @@ def ecdsa_sign_oracle(message, d, k, toy):
     return (r, s)
 
 
-def ecdsa_verify_oracle(message, r, s, public, toy):
-    """Straight-line single-curve verification."""
+def ecdsa_verify_oracle(message, r, s, public, toy, mul=repeated_add):
+    """Straight-line single-curve verification; ``mul`` as for signing."""
     p, a, _b, gx, gy, n = toy
     if not (1 <= r <= n - 1 and 1 <= s <= n - 1):
         return False
@@ -102,9 +105,7 @@ def ecdsa_verify_oracle(message, r, s, public, toy):
     w = fermat_inv(s, n)
     u = e * w % n
     v = r * w % n
-    big_r = chord_tangent_add(
-        repeated_add(u, (gx, gy), a, p), repeated_add(v, public, a, p), a, p
-    )
+    big_r = chord_tangent_add(mul(u, (gx, gy), a, p), mul(v, public, a, p), a, p)
     if big_r is None:
         return False
     return r == big_r[0] % n

@@ -14,14 +14,7 @@ from mecdsa.bench import (
     signature_length_report,
 )
 from mecdsa.curve import CurveParams, Point, point_add, scalar_mul, validate_curve_params
-from mecdsa.ecdsa import (
-    EcdsaSignature,
-    Keypair,
-    ListNonceSource,
-    SeededNonceSource,
-    sign,
-    verify,
-)
+from mecdsa.ecdsa import ListNonceSource, SeededNonceSource
 from mecdsa.multi import (
     MultiCurveConfig,
     MultiCurveKeypair,
@@ -30,21 +23,21 @@ from mecdsa.multi import (
     mkeygen,
     msign,
     mverify,
-    t_ecdsa_sign,
-    t_ecdsa_verify,
 )
 from mecdsa.opcount import OpCounts, Trace
 from mecdsa.registry import default_registry
 
 from .conftest import TEST17, TOY23, TOY43, toy_tuple
 from .oracles import (
+    affine_ladder,
     ecdsa_sign_oracle,
+    ecdsa_verify_oracle,
     enum_points,
     group_table,
     msign_oracle,
     repeated_add,
 )
-from .test_bench import FIXED, fixed_setup
+from .test_bench import fixed_setup
 
 # Frozen straight-line-oracle vectors on TEST17 and (TEST17, TOY23).
 # Each row was computed by the oracle implementations in oracles.py and
@@ -197,6 +190,9 @@ def test_criterion_3_validity_identity():
 
 
 def test_criterion_4_mecdsa_degenerates_to_ecdsa():
+    # msign and mverify at t = 1 against the independent straight-line
+    # ECDSA oracles, which multiply by repeated addition on the toys and
+    # by the affine ladder on the full-size curves
     registry = default_registry()
     pool = (
         [TEST17] * 45
@@ -212,16 +208,16 @@ def test_criterion_4_mecdsa_degenerates_to_ecdsa():
         nonce_pool = [rnd.randrange(1, c.n) for _ in range(8)]
         config = MultiCurveConfig((c,))
         kp = toy_keypair(config, [d])
-        multi_sig = msign(message, kp, ListNonceSource(nonce_pool))
-        single = sign(
-            message, Keypair(c, d, kp.q[0]), ListNonceSource(nonce_pool)
-        )
-        assert multi_sig.r == single.r and multi_sig.s == (single.s,)
-        stored.append((c, config, kp, message, single))
+        mul = repeated_add if c in (TEST17, TOY23) else affine_ladder
+        trace = Trace()
+        sig = msign(message, kp, ListNonceSource(nonce_pool), trace)
+        (k,) = trace.nonces  # the nonce msign accepted
+        assert (sig.r, *sig.s) == ecdsa_sign_oracle(message, d, k, toy_tuple(c), mul)
+        stored.append((c, config, kp, message, sig, mul))
     assert len(stored) == 100
-    for c, config, kp, message, sig in stored:
+    for c, config, kp, message, sig, mul in stored:
         kind = rnd.choice(("m", "r", "s"))
-        msg, r, s = message, sig.r, sig.s
+        msg, r, (s,) = message, sig.r, sig.s
         if kind == "m":
             msg = flip_bytes(message, rnd)
         elif kind == "r":
@@ -229,8 +225,8 @@ def test_criterion_4_mecdsa_degenerates_to_ecdsa():
         else:
             s = flip_int_byte(s, rnd)
         as_multi = mverify(msg, MultiSignature(r, (s,)), kp.q, config)
-        as_single = verify(msg, EcdsaSignature(r, s), kp.q[0], c)
-        assert as_multi == as_single
+        (q,) = kp.q
+        assert as_multi == ecdsa_verify_oracle(msg, r, s, (q.x, q.y), toy_tuple(c), mul)
     print("PASS criterion 4: t=1 is bit-identical to ECDSA (100 tuples + 100 probes)")
 
 
@@ -285,13 +281,13 @@ def test_criterion_6_test17_oracle_equivalence():
         want_raw = repeated_add(k, base_raw, TEST17.a, TEST17.p)
         want_pt = Point(*want_raw) if want_raw else Point()
         assert scalar_mul(k, TEST17.base, TEST17) == want_pt
-    # 20 fixed-nonce ECDSA vectors: implementation == frozen == live oracle
+    # 20 fixed-nonce ECDSA vectors: one-curve msign == frozen == live oracle
     toy17 = toy_tuple(TEST17)
     for d, k, message, want_r, want_s in ECDSA_VECTORS:
         assert ecdsa_sign_oracle(message, d, k, toy17) == (want_r, want_s)
-        kp = Keypair(TEST17, d, scalar_mul(d, TEST17.base, TEST17))
-        got = sign(message, kp, ListNonceSource([k]))
-        assert (got.r, got.s) == (want_r, want_s)
+        kp = toy_keypair(MultiCurveConfig((TEST17,)), [d])
+        got = msign(message, kp, ListNonceSource([k]))
+        assert (got.r, got.s) == (want_r, (want_s,))
     # 20 fixed-nonce MECDSA vectors on (TEST17, TOY23)
     toys = [toy17, toy_tuple(TOY23)]
     config = MultiCurveConfig((TEST17, TOY23))
@@ -388,15 +384,16 @@ def test_criterion_8_range_checks_run_before_arithmetic():
         trace = Trace()
         mverify(message, MultiSignature(boundary, sig.s), keypair.q, config, trace)
         assert trace.counts.ec_mul > 0
-    # same contract for single-curve verification
-    single_kp = Keypair(TEST17, 4, scalar_mul(4, TEST17.base, TEST17))
-    single_sig = sign(message, single_kp, ListNonceSource([8]))
+    # same contract for single-curve verification, which is t = 1
+    single_config = MultiCurveConfig((TEST17,))
+    single_kp = toy_keypair(single_config, [4])
+    single_sig = msign(message, single_kp, ListNonceSource([8]))
     for bad_sig in (
-        EcdsaSignature(0, single_sig.s),
-        EcdsaSignature(single_sig.r, 0),
-        EcdsaSignature(TEST17.n, single_sig.s),
+        MultiSignature(0, single_sig.s),
+        MultiSignature(single_sig.r, (0,)),
+        MultiSignature(TEST17.n, single_sig.s),
     ):
         trace = Trace()
-        assert not verify(message, bad_sig, single_kp.q, TEST17, trace)
+        assert not mverify(message, bad_sig, single_kp.q, single_config, trace)
         assert trace.counts == zero
     print("PASS criterion 8: out-of-range signatures refused with zero curve work")

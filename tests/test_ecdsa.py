@@ -4,19 +4,22 @@ import pytest
 
 from mecdsa.curve import INFINITY, Point, is_on_curve, scalar_mul
 from mecdsa.ecdsa import (
-    EcdsaSignature,
-    Keypair,
     ListNonceSource,
     SeededNonceSource,
     SystemNonceSource,
-    format_signature,
     hash_to_int,
-    keygen,
-    parse_signature,
-    sign,
-    verify,
 )
 from mecdsa.errors import FormatError, NonceExhaustedError
+from mecdsa.multi import (
+    MultiCurveConfig,
+    MultiCurveKeypair,
+    MultiSignature,
+    format_signature,
+    mkeygen,
+    msign,
+    mverify,
+    parse_signature,
+)
 from mecdsa.opcount import Trace
 from mecdsa.registry import default_registry
 
@@ -27,9 +30,17 @@ from .oracles import ecdsa_sign_oracle, ecdsa_verify_oracle, repeated_add
 SHA256_EMPTY = 0xE3B0C44298FC1C149AFBF4C8996FB92427AE41E4649B934CA495991B7852B855
 
 
+# Plain ECDSA is MECDSA over a one-curve config.
+ONE17 = MultiCurveConfig((TEST17,))
+
+
 def toy_keypair(d):
     q = scalar_mul(d, TEST17.base, TEST17)
-    return Keypair(TEST17, d, q)
+    return MultiCurveKeypair(ONE17, (d,), (q,))
+
+
+def verify(message, r, s, kp):
+    return mverify(message, MultiSignature(r, (s,)), kp.q, kp.config)
 
 
 def test_hash_is_deterministic():
@@ -45,31 +56,33 @@ def test_hash_differs_on_one_byte():
 
 
 def test_keygen_unit_scalar_gives_base_point():
-    kp = keygen(TEST17, ListNonceSource([1]))
-    assert kp.q == TEST17.base
+    kp = mkeygen(ONE17, ListNonceSource([1]))
+    assert kp.q == (TEST17.base,)
 
 
 def test_keygen_matches_repeated_addition():
-    kp = keygen(TEST17, ListNonceSource([7]))
+    (q,) = mkeygen(ONE17, ListNonceSource([7])).q
     expected = repeated_add(7, (TEST17.gx, TEST17.gy), TEST17.a, TEST17.p)
-    assert (kp.q.x, kp.q.y) == expected
+    assert (q.x, q.y) == expected
 
 
 def test_keygen_random_keys_land_on_curve():
     c = default_registry().get("secp256k1")
+    config = MultiCurveConfig((c,))
     rng = SeededNonceSource(1234)
     for _ in range(100):
-        kp = keygen(c, rng)
-        assert 1 <= kp.d <= c.n - 1
-        assert not kp.q.is_infinity and is_on_curve(kp.q, c)
+        kp = mkeygen(config, rng)
+        (d,), (q,) = kp.d, kp.q
+        assert 1 <= d <= c.n - 1
+        assert not q.is_infinity and is_on_curve(q, c)
 
 
 def test_sign_matches_straight_line_oracle():
     toy = toy_tuple(TEST17)
     for d, k, message in [(11, 5, b"beta"), (2, 13, b"gamma"), (16, 6, b"delta")]:
         want = ecdsa_sign_oracle(message, d, k, toy)
-        got = sign(message, toy_keypair(d), ListNonceSource([k]))
-        assert (got.r, got.s) == want
+        got = msign(message, toy_keypair(d), ListNonceSource([k]))
+        assert (got.r, *got.s) == want
 
 
 def test_sign_skips_nonce_with_r_zero():
@@ -77,10 +90,12 @@ def test_sign_skips_nonce_with_r_zero():
     assert repeated_add(7, (TEST17.gx, TEST17.gy), TEST17.a, TEST17.p)[0] == 0
     kp = toy_keypair(5)
     trace = Trace()
-    with_retry = sign(b"retry", kp, ListNonceSource([7, 3]), trace)
-    direct = sign(b"retry", kp, ListNonceSource([3]))
+    src = ListNonceSource([7, 3])
+    with_retry = msign(b"retry", kp, src, trace)
+    direct = msign(b"retry", kp, ListNonceSource([3]))
     assert with_retry == direct
-    assert trace.retries == 1
+    assert (trace.retries, trace.restarts) == (1, 0)
+    assert src.consumed == 2
 
 
 def test_sign_skips_nonce_with_s_zero():
@@ -91,23 +106,24 @@ def test_sign_skips_nonce_with_s_zero():
     assert 1 <= d <= TEST17.n - 1
     kp = toy_keypair(d)
     trace = Trace()
-    got = sign(message, kp, ListNonceSource([1, 2]), trace)
-    assert trace.retries == 1
-    assert got == sign(message, kp, ListNonceSource([2]))
-    assert verify(message, got, kp.q, TEST17)
+    got = msign(message, kp, ListNonceSource([1, 2]), trace)
+    # s = 0 spoils the shared r, so it restarts the pass, also at t = 1
+    assert (trace.retries, trace.restarts) == (0, 1)
+    assert got == msign(message, kp, ListNonceSource([2]))
+    assert verify(message, got.r, *got.s, kp)
 
 
 def test_sign_is_deterministic_for_fixed_inputs():
     kp = toy_keypair(9)
-    a = sign(b"fixed", kp, ListNonceSource([4]))
-    b = sign(b"fixed", kp, ListNonceSource([4]))
+    a = msign(b"fixed", kp, ListNonceSource([4]))
+    b = msign(b"fixed", kp, ListNonceSource([4]))
     assert a == b
 
 
 def test_nonce_exhaustion_raises():
     kp = toy_keypair(5)
     with pytest.raises(NonceExhaustedError):
-        sign(b"over", kp, ListNonceSource([7]))  # r = 0, then empty
+        msign(b"over", kp, ListNonceSource([7]))  # r = 0, then empty
 
 
 def test_list_nonce_source_rejects_out_of_range():
@@ -129,12 +145,12 @@ def test_roundtrip_all_builtin_curves():
     rng = SeededNonceSource(777)
     rnd = random.Random(777)
     for name in registry.names():
-        c = registry.get(name)
+        config = MultiCurveConfig((registry.get(name),))
         for _ in range(100):
-            kp = keygen(c, rng)
+            kp = mkeygen(config, rng)
             message = rnd.randbytes(64)
-            sig = sign(message, kp, rng)
-            assert verify(message, sig, kp.q, c)
+            sig = msign(message, kp, rng)
+            assert verify(message, sig.r, *sig.s, kp)
 
 
 def test_single_byte_perturbations_refuse():
@@ -143,67 +159,66 @@ def test_single_byte_perturbations_refuse():
     rnd = random.Random(31337)
     cases = 0
     while cases < 100:
-        c = registry.get(rnd.choice(registry.names()))
-        kp = keygen(c, rng)
+        config = MultiCurveConfig((registry.get(rnd.choice(registry.names())),))
+        kp = mkeygen(config, rng)
         message = bytearray(rnd.randbytes(32))
-        sig = sign(bytes(message), kp, rng)
+        sig = msign(bytes(message), kp, rng)
+        r, (s,) = sig.r, sig.s
         which = rnd.choice(("m", "r", "s"))
         if which == "m":
             idx = rnd.randrange(len(message))
             message[idx] ^= 1 << rnd.randrange(8)
-            assert not verify(bytes(message), sig, kp.q, c)
+            assert not verify(bytes(message), r, s, kp)
         elif which == "r":
-            flipped = sig.r ^ (1 << rnd.randrange(sig.r.bit_length()))
-            assert not verify(bytes(message), EcdsaSignature(flipped, sig.s), kp.q, c)
+            flipped = r ^ (1 << rnd.randrange(r.bit_length()))
+            assert not verify(bytes(message), flipped, s, kp)
         else:
-            flipped = sig.s ^ (1 << rnd.randrange(sig.s.bit_length()))
-            assert not verify(bytes(message), EcdsaSignature(sig.r, flipped), kp.q, c)
+            flipped = s ^ (1 << rnd.randrange(s.bit_length()))
+            assert not verify(bytes(message), r, flipped, kp)
         cases += 1
 
 
 def test_verify_rejects_out_of_range_components():
     kp = toy_keypair(5)
-    sig = sign(b"bounds", kp, ListNonceSource([3]))
+    sig = msign(b"bounds", kp, ListNonceSource([3]))
+    r, (s,) = sig.r, sig.s
     n = TEST17.n
-    assert not verify(b"bounds", EcdsaSignature(0, sig.s), kp.q, TEST17)
-    assert not verify(b"bounds", EcdsaSignature(sig.r, 0), kp.q, TEST17)
-    assert not verify(b"bounds", EcdsaSignature(n, sig.s), kp.q, TEST17)
-    assert not verify(b"bounds", EcdsaSignature(sig.r, n), kp.q, TEST17)
+    assert not verify(b"bounds", 0, s, kp)
+    assert not verify(b"bounds", r, 0, kp)
+    assert not verify(b"bounds", n, s, kp)
+    assert not verify(b"bounds", r, n, kp)
 
 
 def test_verify_rejects_junk_public_keys():
     kp = toy_keypair(5)
-    sig = sign(b"pubkey", kp, ListNonceSource([3]))
-    assert not verify(b"pubkey", sig, INFINITY, TEST17)
-    assert not verify(b"pubkey", sig, Point(1, 1), TEST17)  # off curve
-    assert not verify(b"pubkey", sig, Point(200, 1), TEST17)  # out of field
+    sig = msign(b"pubkey", kp, ListNonceSource([3]))
+    for junk in (INFINITY, Point(1, 1), Point(200, 1)):  # O, off curve, out of field
+        assert not mverify(b"pubkey", sig, (junk,), ONE17)
 
 
 def test_malleated_s_agrees_with_oracle():
     toy = toy_tuple(TEST17)
     kp = toy_keypair(7)
     message = b"malleability"
-    sig = sign(message, kp, ListNonceSource([3]))
-    flipped = EcdsaSignature(sig.r, TEST17.n - sig.s)
-    ours = verify(message, flipped, kp.q, TEST17)
-    oracle = ecdsa_verify_oracle(
-        message, flipped.r, flipped.s, (kp.q.x, kp.q.y), toy
-    )
-    assert ours == oracle
+    sig = msign(message, kp, ListNonceSource([3]))
+    r, flipped = sig.r, TEST17.n - sig.s[0]
+    ours = verify(message, r, flipped, kp)
+    (q,) = kp.q
+    assert ours == ecdsa_verify_oracle(message, r, flipped, (q.x, q.y), toy)
 
 
 def test_verify_recovers_the_nonce_point():
     # the recomputed point R inside verify equals k*P from signing
     kp = toy_keypair(11)
     sign_trace, verify_trace = Trace(), Trace()
-    sig = sign(b"identity", kp, ListNonceSource([6]), sign_trace)
-    assert verify(b"identity", sig, kp.q, TEST17, verify_trace)
+    sig = msign(b"identity", kp, ListNonceSource([6]), sign_trace)
+    assert mverify(b"identity", sig, kp.q, ONE17, verify_trace)
     assert verify_trace.points == sign_trace.points
     assert verify_trace.r_values == sign_trace.r_values
 
 
 def test_signature_text_roundtrip():
-    sig = EcdsaSignature(0x1F, 0x2A)
+    sig = MultiSignature(0x1F, (0x2A,))
     assert format_signature(sig) == "1f:2a"
     assert parse_signature("1f:2a") == sig
     with pytest.raises(FormatError):

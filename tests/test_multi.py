@@ -4,14 +4,7 @@ import pytest
 
 from mecdsa import curve
 from mecdsa.curve import Point, is_on_curve, scalar_mul
-from mecdsa.ecdsa import (
-    EcdsaSignature,
-    Keypair,
-    ListNonceSource,
-    SeededNonceSource,
-    sign,
-    verify,
-)
+from mecdsa.ecdsa import ListNonceSource, SeededNonceSource
 from mecdsa.errors import NonceExhaustedError
 from mecdsa.multi import (
     MultiCurveConfig,
@@ -65,48 +58,6 @@ def test_mkeygen_toy_pair_on_curve(toy_pair_config):
     kp = mkeygen(toy_pair_config, rng)
     for c, q in zip(toy_pair_config.curves, kp.q):
         assert not q.is_infinity and is_on_curve(q, c)
-
-
-def test_msign_t1_bit_identical_to_ecdsa():
-    config = MultiCurveConfig((TEST17,))
-    for d, k, message in [(11, 5, b"beta"), (16, 6, b"delta"), (9, 4, b"eps")]:
-        kp = toy_keypair(config, [d])
-        multi_sig = msign(message, kp, ListNonceSource([k]))
-        single = sign(message, Keypair(TEST17, d, kp.q[0]), ListNonceSource([k]))
-        assert multi_sig.r == single.r
-        assert multi_sig.s == (single.s,)
-
-
-def test_msign_t1_retry_behavior_matches_ecdsa():
-    # k = 7 hits r = 0 on TEST17; both sides must consume two nonces
-    config = MultiCurveConfig((TEST17,))
-    kp = toy_keypair(config, [5])
-    multi_src = ListNonceSource([7, 3])
-    single_src = ListNonceSource([7, 3])
-    multi_sig = msign(b"retry", kp, multi_src)
-    single = sign(b"retry", Keypair(TEST17, 5, kp.q[0]), single_src)
-    assert (multi_sig.r, multi_sig.s[0]) == (single.r, single.s)
-    assert multi_src.consumed == single_src.consumed == 2
-
-
-def test_mverify_t1_agrees_with_ecdsa_verify_everywhere():
-    config = MultiCurveConfig((TEST17,))
-    kp = toy_keypair(config, [11])
-    message = b"degenerate"
-    good = msign(message, kp, ListNonceSource([5]))
-    probes = [
-        (message, good.r, good.s[0]),
-        (b"tampered", good.r, good.s[0]),
-        (message, 0, good.s[0]),
-        (message, TEST17.n, good.s[0]),
-        (message, good.r, 0),
-        (message, good.r, TEST17.n - good.s[0]),
-        (message, (good.r + 1) % TEST17.n, good.s[0]),
-    ]
-    for msg, r, s in probes:
-        as_multi = mverify(msg, MultiSignature(r, (s,)), kp.q, config)
-        as_single = verify(msg, EcdsaSignature(r, s), kp.q[0], TEST17)
-        assert as_multi == as_single, (msg, r, s)
 
 
 def test_msign_matches_straight_line_oracle(toy_pair_config):
@@ -322,12 +273,12 @@ def test_validity_identity_instrumented(toy_pair_config):
 
 
 def test_t_ecdsa_degenerate_single_curve():
+    # at t = 1 the baseline and MECDSA are both plain ECDSA
     config = MultiCurveConfig((TEST17,))
     kp = toy_keypair(config, [11])
     sig = t_ecdsa_sign(b"baseline 0", kp, ListNonceSource([5]))
     assert sig.t == 1
-    single = sign(b"baseline 0", Keypair(TEST17, 11, kp.q[0]), ListNonceSource([5]))
-    assert sig.pairs[0] == single
+    assert sig.pairs[0] == msign(b"baseline 0", kp, ListNonceSource([5]))
 
 
 def test_t_ecdsa_components_verify_individually(toy_pair_config):
@@ -335,7 +286,7 @@ def test_t_ecdsa_components_verify_individually(toy_pair_config):
     message = b"per-curve 0"
     sig = t_ecdsa_sign(message, kp, ListNonceSource([8, 8]))
     for c, pair, q in zip(toy_pair_config.curves, sig.pairs, kp.q):
-        assert verify(message, pair, q, c)
+        assert mverify(message, pair, (q,), MultiCurveConfig((c,)))
     assert t_ecdsa_verify(message, sig, kp.q, toy_pair_config)
 
 
@@ -344,7 +295,7 @@ def test_t_ecdsa_zeroed_s_refused(toy_pair_config):
     message = b"zeroed 0"
     sig = t_ecdsa_sign(message, kp, ListNonceSource([8, 8]))
     broken = TEcdsaSignature(
-        (sig.pairs[0], EcdsaSignature(sig.pairs[1].r, 0))
+        (sig.pairs[0], MultiSignature(sig.pairs[1].r, (0,)))
     )
     assert not t_ecdsa_verify(message, broken, kp.q, toy_pair_config)
 
@@ -361,5 +312,5 @@ def test_t_ecdsa_total_payload_is_twice_sum_of_order_bits(toy_pair_config):
     kp = toy_keypair(toy_pair_config, [4, 11])
     sig = t_ecdsa_sign(b"length 1", kp, ListNonceSource([8, 8]))
     bound = 2 * sum(c.n.bit_length() for c in toy_pair_config.curves)
-    total = sum(p.r.bit_length() + p.s.bit_length() for p in sig.pairs)
+    total = sum(p.r.bit_length() + p.s[0].bit_length() for p in sig.pairs)
     assert total <= bound

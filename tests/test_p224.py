@@ -12,7 +12,8 @@ import random
 import pytest
 
 from mecdsa.curve import CurveParams, Point, decode_point, validate_curve_params
-from mecdsa.ecdsa import Keypair, SeededNonceSource, hash_to_int, sign
+from mecdsa.ecdsa import SeededNonceSource, hash_to_int
+from mecdsa.multi import MultiCurveConfig, MultiCurveKeypair, msign
 
 # Frozen from `openssl ecparam -name secp224r1 -param_enc explicit -text -noout`.
 P224 = CurveParams(
@@ -60,13 +61,15 @@ def test_signature_verifies_under_openssl_only_with_whole_digest_rule():
     from cryptography.hazmat.primitives import hashes
     from cryptography.hazmat.primitives.asymmetric import ec, utils
 
+    config = MultiCurveConfig((P224,))
     nonces = SeededNonceSource(2240)
     for i, (d, key) in enumerate(_openssl_keys(10, seed=2241)):
         public = key.public_key()
         numbers = public.public_numbers()
         message = b"p224 message %d" % i
-        sig = sign(message, Keypair(P224, d, Point(numbers.x, numbers.y)), nonces)
-        der = utils.encode_dss_signature(sig.r, sig.s)
+        keypair = MultiCurveKeypair(config, (d,), (Point(numbers.x, numbers.y),))
+        sig = msign(message, keypair, nonces)
+        der = utils.encode_dss_signature(sig.r, *sig.s)
         # OpenSSL keeps the leftmost 224 bits of a 32-byte digest, so this
         # digest hands it exactly e mod n.
         digest = ((hash_to_int(message) % P224.n) << 32).to_bytes(32, "big")
