@@ -1,5 +1,6 @@
-"""Group-law kernels: field inversion, affine point addition, and scalar
-multiplication by affine double-and-add.
+"""Group-law kernels: field inversion, affine point addition, and one
+scalar-multiplication ladder: 2-bit Straus-Shamir interleaving for the
+joint u*P + v*Q, of which k*P is the v = 0 case.
 
 Points at this layer are ``None`` (the identity) or ``(x, y)`` tuples of
 canonical residues; no on-curve checking happens here, that is the
@@ -51,16 +52,32 @@ def point_add(p1, p2, a, p):
     return (x3, (lam * (x1 - x3) - y1) % p)
 
 
-def scalar_mul(k, pt, a, p):
-    """k-fold group sum of pt, left-to-right double-and-add.  k >= 0 and
-    is used as given (no reduction), so order checks like n*P work."""
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
-    if k == 0 or pt is None:
-        return None
+def double_scalar_mul(u, p1, v, p2, a, p):
+    """u*p1 + v*p2 in one joint pass (Straus-Shamir, 2-bit windows).
+
+    One table holds i*p1 + j*p2 for i, j in 0..3; each 2-bit window of
+    u and v then costs two doublings and at most one addition.  u, v >= 0
+    and are used as given (no reduction), so order checks like n*P work.
+    """
+    if u < 0 or v < 0:
+        raise ValueError("scalars must be non-negative")
+    col = [None, p1, _double(p1, a, p)]
+    col.append(point_add(col[2], p1, a, p))
+    row = [None, p2, _double(p2, a, p)]
+    row.append(point_add(row[2], p2, a, p))
+    table = [point_add(x, y, a, p) for x in col for y in row]
+    top = max(u.bit_length(), v.bit_length())
     acc = None
-    for i in range(k.bit_length() - 1, -1, -1):
-        acc = _double(acc, a, p)
-        if (k >> i) & 1:
-            acc = point_add(acc, pt, a, p)
+    # Round the top window up to an even bit count, so windows end at bit 0.
+    for shift in range(top + (top & 1) - 2, -1, -2):
+        acc = _double(_double(acc, a, p), a, p)
+        entry = table[((u >> shift) & 3) << 2 | ((v >> shift) & 3)]
+        if entry is not None:
+            acc = point_add(acc, entry, a, p)
     return acc
+
+
+def scalar_mul(k, pt, a, p):
+    """k-fold group sum of pt, k >= 0 and not reduced: the joint ladder
+    with v = 0."""
+    return double_scalar_mul(k, pt, 0, None, a, p)

@@ -4,12 +4,15 @@ compression, text encodings, and parameter validation.
 Curve arithmetic delegates to ``mecdsa._kernels``, one plain-Python
 module; this module owns the typed surface.  Affine coordinates with one
 field inversion per addition are the ground truth here, and the test
-suite checks them against independent oracles.
+suite checks them against independent oracles.  One ladder serves every
+multiply: ``double_scalar_mul`` computes u*P + v*Q in a joint pass, and
+``scalar_mul`` is its v = 0 case.
 
-Points are checked once, where they enter.  The group law and encoders
-take points known to be on the curve: a validated curve's base, a decoded
-or decompressed point, one that passed ``is_on_curve`` (as each public
-key does in ``verify`` and ``mverify``), or a result of the group law.
+Points are checked once, where they enter.  The group law, the joint
+ladder and the encoders take points known to be on the curve: a
+validated curve's base, a decoded or decompressed point, one that passed
+``is_on_curve`` (as each public key does in ``mverify``), or a result of
+the group law.
 """
 
 from dataclasses import dataclass, field
@@ -107,6 +110,11 @@ def point_add(pt: Point, other: Point, c: CurveParams) -> Point:
 def scalar_mul(k: int, pt: Point, c: CurveParams) -> Point:
     """k-fold group sum for k >= 0; k is not reduced modulo anything."""
     return _wrap(_kernels.scalar_mul(k, _raw(pt), c.a, c.p))
+
+
+def double_scalar_mul(u: int, pt: Point, v: int, other: Point, c: CurveParams) -> Point:
+    """u*pt + v*other in one joint pass, for u, v >= 0; neither is reduced."""
+    return _wrap(_kernels.double_scalar_mul(u, _raw(pt), v, _raw(other), c.a, c.p))
 
 
 def decompress_point(prefix: int, x_bytes: bytes, c: CurveParams) -> Point:

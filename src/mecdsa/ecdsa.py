@@ -145,16 +145,13 @@ def _recover_r(
 ) -> "int | None":
     """x(R) mod n for R = (e/s)*P + (r/s)*Q, or None when R = O.
 
-    r may be the unreduced multi-curve sum.  R and the residue go on the
-    trace.
+    R comes from one joint ladder pass, tallied as the paper's two EC
+    multiplies and one EC add.  r may be the unreduced multi-curve sum.
+    R and the residue go on the trace.
     """
     n = curve.n
     w = _kernels.mod_inv(s, n)
-    big_r = curvemod.point_add(
-        curvemod.scalar_mul(e * w % n, curve.base, curve),
-        curvemod.scalar_mul(r * w % n, q, curve),
-        curve,
-    )
+    big_r = curvemod.double_scalar_mul(e * w % n, curve.base, r * w % n, q, curve)
     if trace is not None:
         trace.counts.field_inv += 1
         trace.counts.field_mul += 2

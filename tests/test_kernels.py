@@ -23,6 +23,11 @@ from .oracles import (
 TOYS = (TEST17, TOY23, TOY43, TOY23M3)
 
 
+def _joint_oracle(u, p1, v, p2, a, p, mul):
+    """u*p1 + v*p2 from the oracles' own multiply and addition."""
+    return chord_tangent_add(mul(u, p1, a, p), mul(v, p2, a, p), a, p)
+
+
 @pytest.mark.parametrize("c", TOYS, ids=lambda c: c.name)
 def test_scalar_mul_matches_repeated_add_from_every_toy_point(c):
     for raw in enum_points(c.a, c.b, c.p):
@@ -43,18 +48,53 @@ def test_point_add_matches_chord_tangent_on_full_toy_table(c):
 
 
 def test_two_torsion_chains():
-    # y^2 = x^3 - x over F_23 has three y = 0 points of order two
+    # y^2 = x^3 - x over F_23 has 24 points, three of them (y = 0) of
+    # order two; the joint ladder adds each to every point of the curve
     p, a = 23, 22
+    points = enum_points(a, 0, p)
+    assert len(points) == 24
     for x0 in (0, 1, 22):
         for k in range(0, 8):
             want = repeated_add(k, (x0, 0), a, p)
             assert _kernels.scalar_mul(k, (x0, 0), a, p) == want
             assert want == (None if k % 2 == 0 else (x0, 0))
+        for q in points:
+            for u in range(0, 4):
+                for v in range(0, 25):
+                    want = _joint_oracle(u, (x0, 0), v, q, a, p, repeated_add)
+                    got = _kernels.double_scalar_mul(u, (x0, 0), v, q, a, p)
+                    assert got == want, (x0, q, u, v)
 
 
 def test_scalar_mul_rejects_negative_scalars():
+    c = TEST17
+    g = (c.gx, c.gy)
     with pytest.raises(ValueError):
-        _kernels.scalar_mul(-1, (TEST17.gx, TEST17.gy), TEST17.a, TEST17.p)
+        _kernels.scalar_mul(-1, g, c.a, c.p)
+    for u, v in ((-1, 1), (1, -1), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            _kernels.double_scalar_mul(u, g, v, g, c.a, c.p)
+
+
+@pytest.mark.parametrize("c", TOYS, ids=lambda c: c.name)
+def test_double_scalar_mul_matches_oracle_for_every_toy_q_and_scalar_pair(c):
+    # u*G + v*Q for every Q and every u, v in 0..n.  Since G generates the
+    # group, this passes through u*G = -v*Q (the sum is O) and u*G = v*Q
+    # (the sum is a doubling) on every curve.
+    g = (c.gx, c.gy)
+    g_mults = [repeated_add(u, g, c.a, c.p) for u in range(c.n + 1)]
+    cancels = doubles = 0
+    for q in enum_points(c.a, c.b, c.p):
+        q_mults = [repeated_add(v, q, c.a, c.p) for v in range(c.n + 1)]
+        for u, ug in enumerate(g_mults):
+            for v, vq in enumerate(q_mults):
+                want = chord_tangent_add(ug, vq, c.a, c.p)
+                got = _kernels.double_scalar_mul(u, g, v, q, c.a, c.p)
+                assert got == want, (c.name, q, u, v)
+                if ug is not None and vq is not None:
+                    cancels += want is None
+                    doubles += ug == vq
+    assert cancels and doubles
 
 
 def test_scalar_mul_matches_affine_ladder_on_builtins():
@@ -69,6 +109,21 @@ def test_scalar_mul_matches_affine_ladder_on_builtins():
             assert _kernels.scalar_mul(k, base, c.a, c.p) == affine_ladder(
                 k, base, c.a, c.p
             ), (name, k)
+
+
+def test_double_scalar_mul_matches_affine_ladder_on_builtins():
+    rnd = random.Random(1808)
+    registry = default_registry()
+    for name in registry.names():
+        c = registry.get(name)
+        g = (c.gx, c.gy)
+        q = affine_ladder(rnd.randrange(1, c.n), g, c.a, c.p)
+        pairs = [(rnd.randrange(1, c.n), rnd.randrange(1, c.n)) for _ in range(20)]
+        for edge in (0, 1, c.n - 1):
+            pairs += [(edge, rnd.randrange(1, c.n)), (rnd.randrange(1, c.n), edge)]
+        for u, v in pairs:
+            want = _joint_oracle(u, g, v, q, c.a, c.p, affine_ladder)
+            assert _kernels.double_scalar_mul(u, g, v, q, c.a, c.p) == want, (name, u, v)
 
 
 def test_mod_inv_matches_fermat_and_rejects_zero():
@@ -98,6 +153,9 @@ def test_group_law_does_not_count_as_scheme_inversions(monkeypatch):
     assert g2 == chord_tangent_add(g, g, c.a, c.p)
     assert _kernels.point_add(g, g2, c.a, c.p) == chord_tangent_add(g, g2, c.a, c.p)
     assert _kernels.scalar_mul(5, g, c.a, c.p) == repeated_add(5, g, c.a, c.p)
+    assert _kernels.double_scalar_mul(5, g, 6, g2, c.a, c.p) == repeated_add(
+        17, g, c.a, c.p
+    )
     assert calls == []
 
 

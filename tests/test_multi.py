@@ -21,7 +21,7 @@ from mecdsa.opcount import Trace
 from mecdsa.registry import default_registry
 
 from .conftest import TEST17, TOY23, TOY43, toy_tuple
-from .oracles import msign_oracle, mverify_oracle
+from .oracles import hash_int, msign_oracle, mverify_oracle
 
 # engineered on (TEST17, TOY23): the first pair makes r = r_1 + r_2 = 19,
 # which is 0 mod n_1 and forces a full restart; the second pair is clean
@@ -248,6 +248,36 @@ def test_mverify_rejects_wrong_arity(toy_pair_config):
     kp = toy_keypair(toy_pair_config, [4, 11])
     sig = msign(b"arity", kp, ListNonceSource(CLEAN_NONCES))
     assert not mverify(b"arity", MultiSignature(sig.r, (sig.s[0],)), kp.q, toy_pair_config)
+
+
+def test_mverify_refuses_r_at_infinity():
+    # On TEST17 with d = 7, an r with e + d*r = 0 (mod n) makes
+    # R = (e/s)*P + (r/s)*Q = ((e + d*r)/s)*P = O for every s.  At t = 2
+    # TOY23 comes first and recovers its point; TEST17 then meets R = O.
+    message = b"R at infinity"
+    e = hash_int(message)
+    d, n = 7, TEST17.n
+    assert e % n != 0
+    r_zero = -e * pow(d, -1, n) % n
+
+    one = toy_keypair(MultiCurveConfig((TEST17,)), [d])
+    for s in range(1, n):
+        trace = Trace()
+        assert not mverify(message, MultiSignature(r_zero, (s,)), one.q, one.config, trace)
+        assert trace.counts.ec_mul == 2 and trace.points == []
+
+    two = toy_keypair(MultiCurveConfig((TOY23, TEST17)), [3, d])
+    r = next(
+        r
+        for r in range(2, two.config.order_sum - 1)
+        if r % n == r_zero and (e + 3 * r) % TOY23.n != 0
+    )
+    for s_1 in (1, 5, TOY23.n - 1):
+        for s_2 in range(1, n):
+            trace = Trace()
+            sig = MultiSignature(r, (s_1, s_2))
+            assert not mverify(message, sig, two.q, two.config, trace)
+            assert trace.counts.ec_mul == 4 and len(trace.points) == 1
 
 
 def test_mverify_agrees_with_oracle(toy_pair_config):
