@@ -5,8 +5,10 @@ give residues r_i, the shared value r is their plain integer sum, and
 each curve contributes one s_i binding r under its own order.  Compared
 with running ECDSA once per curve, the signature carries a single r
 instead of t of them.  At t = 1 the scheme is plain ECDSA, bit for bit,
-so a one-curve config is how the package signs with ECDSA.  The package
-also ships the run-it-t-times baseline, a cost-model bench, and a CLI.
+so a one-curve config is how the package signs with ECDSA, and ECDSA's
+per-curve steps are written once, in ``msign`` and ``mverify``.  The
+package also ships the run-it-t-times baseline, whose signature is the
+tuple of its t one-curve signatures, a cost-model bench, and a CLI.
 
 NOT production-hardened: arithmetic is not constant-time, key files are
 unencrypted, and nonce handling favors testability.  Desk-scale use only.
@@ -42,7 +44,6 @@ from mecdsa.multi import (
     MultiCurveConfig,
     MultiCurveKeypair,
     MultiSignature,
-    TEcdsaSignature,
     decode_multisig,
     encode_multisig,
     mkeygen,
@@ -77,7 +78,6 @@ __all__ = [
     "Point",
     "SeededNonceSource",
     "SystemNonceSource",
-    "TEcdsaSignature",
     "Trace",
     "UnknownCurveError",
     "decode_multisig",

@@ -124,7 +124,7 @@ def signature_length_report(
     for _ in range(samples):
         message = msg_rng.randbytes(64)
         m_bits.append(_payload_bits(msign(message, keypair, rng)))
-        pairs = t_ecdsa_sign(message, keypair, rng).pairs
+        pairs = t_ecdsa_sign(message, keypair, rng)
         b_bits.append(sum(_payload_bits(p) for p in pairs))
     orders = [c.n for c in config.curves]
     return LengthReport(

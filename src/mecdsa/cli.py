@@ -35,7 +35,6 @@ from mecdsa.errors import FormatError, MecdsaError
 from mecdsa.multi import (
     MultiCurveConfig,
     MultiCurveKeypair,
-    TEcdsaSignature,
     decode_multisig,
     encode_multisig,
     format_signature,
@@ -215,7 +214,7 @@ def _cmd_sign(args):
     if args.scheme == "mecdsa":
         sig_text = encode_multisig(msign(message, keypair, nonces)).hex()
     else:
-        pairs = t_ecdsa_sign(message, keypair, nonces).pairs
+        pairs = t_ecdsa_sign(message, keypair, nonces)
         sig_text = ",".join(format_signature(pair) for pair in pairs)
     doc = _kv_document(
         [
@@ -237,8 +236,9 @@ def _cmd_verify(args):
     with _reading(args.sig):
         kv = _read_document(args.sig)
         scheme = kv["scheme"]
-        sig_names = [n.strip() for n in kv["curves"].split(",")]
-        if sig_names != [c.name for c in config.curves]:
+        # curve names are case-insensitive, as in the key file
+        sig_names = [n.strip().lower() for n in kv["curves"].split(",")]
+        if sig_names != [c.name.lower() for c in config.curves]:
             raise FormatError("curve list does not match the key file")
         if scheme == "mecdsa":
             sig = decode_multisig(bytes.fromhex(kv["signature"]))
@@ -247,7 +247,7 @@ def _cmd_verify(args):
             pairs = tuple(
                 parse_signature(part) for part in kv["signature"].split(",")
             )
-            ok = t_ecdsa_verify(message, TEcdsaSignature(pairs), publics, config)
+            ok = t_ecdsa_verify(message, pairs, publics, config)
         else:
             raise FormatError(f"unknown scheme {scheme!r}")
     print("VALID" if ok else "INVALID")

@@ -11,12 +11,15 @@ multi-signature on message m is (r, s_1..s_t):
 If r = 0 (mod n_i) for any i — or any s_i lands on 0, which is a shared
 failure because every s_j depends on r — the whole pass restarts with
 fresh nonces for all curves.  Verification recomputes R_i =
-(e/s_i)*P_i + (r/s_i)*Q_i per curve and accepts when r equals the sum of
-the recovered x-coordinates reduced per curve.  Each per-curve step comes
-from ``mecdsa.ecdsa``, tallies included; only the r sum, the restart rule
-and the range checks live here.  For t = 1 all of this is plain ECDSA,
-bit for bit, so the library has no other signer: the t-ECDSA baseline is
-a one-curve ``msign``/``mverify`` per curve.
+(e/s_i)*P_i + (r/s_i)*Q_i per curve, in one joint ladder pass tallied as
+the paper's two EC multiplies and one EC add, and accepts when r equals
+the sum of the recovered x-coordinates reduced per curve.  It refuses a
+public key Q_i = O and an R_i = O, whose x-coordinate does not exist.
+For t = 1 all of this is plain ECDSA, bit for bit, so ``msign`` and
+``mverify`` hold the only copy of ECDSA's per-curve steps, each with its
+tallies, and the library has no other signer: the t-ECDSA baseline is a
+one-curve ``msign``/``mverify`` per curve, and its signature is the
+tuple of those one-curve signatures.
 
 Because r is unreduced it lies in [t, n_1+...+n_t - t] for any genuine
 signature, which is also the verifier's first range check (closed
@@ -39,17 +42,13 @@ runs are reproducible; the r sum is the join point of the per-curve work.
 
 from dataclasses import dataclass
 
+# The steps call the kernels through their modules, never by a name bound
+# here, so that a wrapper set on the module (perfbench/tracer.py) sees them.
+from mecdsa import _kernels
 from mecdsa import curve as curvemod
 from mecdsa._hex import hex_to_int, int_to_hex
 from mecdsa.curve import CurveParams, Point
-from mecdsa.ecdsa import (
-    NonceSource,
-    _nonce_point,
-    _public_key_ok,
-    _recover_r,
-    _sign_scalar,
-    hash_to_int,
-)
+from mecdsa.ecdsa import NonceSource, hash_to_int
 from mecdsa.errors import FormatError, NonceRangeError
 from mecdsa.opcount import Trace
 
@@ -99,18 +98,6 @@ class MultiSignature:
         return len(self.s)
 
 
-@dataclass(frozen=True)
-class TEcdsaSignature:
-    """Baseline signature: one independent ECDSA signature per curve, each
-    a one-curve ``MultiSignature``."""
-
-    pairs: "tuple[MultiSignature, ...]"
-
-    @property
-    def t(self) -> int:
-        return len(self.pairs)
-
-
 def mkeygen(config: MultiCurveConfig, rng: NonceSource) -> MultiCurveKeypair:
     """One independent keypair per curve, drawn in index order: d_i
     uniform in [1, n_i - 1] and Q_i = d_i * P_i."""
@@ -140,31 +127,44 @@ def msign(
     cfg = keypair.config
     e = hash_to_int(message)
     while True:
-        rounds = [_nonce_point(c, nonces, trace) for c in cfg.curves]
+        rounds = []  # (k_i, k_i*P_i, r_i), a fresh k_i while r_i = 0
+        for c in cfg.curves:
+            while True:
+                k = nonces.draw(c.n)
+                kp = curvemod.scalar_mul(k, c.base, c)
+                if trace is not None:
+                    trace.counts.ec_mul += 1
+                r_i = kp.x % c.n
+                if r_i != 0:
+                    break
+                if trace is not None:
+                    trace.retries += 1
+            rounds.append((k, kp, r_i))
         r = sum(r_i for _, _, r_i in rounds)
         if trace is not None:
             trace.counts.field_add += cfg.t - 1
-        if any(r % c.n == 0 for c in cfg.curves):
-            if trace is not None:
-                trace.restarts += 1
-            continue
-        ss = []
-        for c, (k, _, _), d in zip(cfg.curves, rounds, keypair.d):
-            s_i = _sign_scalar(k, d, r, e, c.n, trace)
-            if s_i == 0:
-                break
-            ss.append(s_i)
-        if len(ss) != cfg.t:
-            # an s_i = 0 invalidates the shared r; restart everything
-            if trace is not None:
-                trace.restarts += 1
-            continue
+        if all(r % c.n != 0 for c in cfg.curves):
+            ss = []
+            for c, (k, _, _), d in zip(cfg.curves, rounds, keypair.d):
+                s_i = _kernels.mod_inv(k, c.n) * ((e + d * r) % c.n) % c.n
+                if trace is not None:
+                    trace.counts.field_inv += 1
+                    trace.counts.field_mul += 2
+                    trace.counts.field_add += 1
+                if s_i == 0:
+                    break
+                ss.append(s_i)
+            else:
+                if trace is not None:
+                    for k, kp, r_i in rounds:
+                        trace.nonces.append(k)
+                        trace.points.append(kp)
+                        trace.r_values.append(r_i)
+                return MultiSignature(r, tuple(ss))
+        # r = 0 mod some n_i, or an s_i = 0: every s_j depends on r, so
+        # the whole round restarts with fresh nonces
         if trace is not None:
-            for k, kp, r_i in rounds:
-                trace.nonces.append(k)
-                trace.points.append(kp)
-                trace.r_values.append(r_i)
-        return MultiSignature(r, tuple(ss))
+            trace.restarts += 1
 
 
 def mverify(
@@ -186,18 +186,31 @@ def mverify(
         return False
     if not all(1 <= s_i <= c.n - 1 for c, s_i in zip(config.curves, sig.s)):
         return False
-    if not all(_public_key_ok(q, c) for c, q in zip(config.curves, publics)):
+    if any(
+        q.is_infinity or not curvemod.is_on_curve(q, c)
+        for c, q in zip(config.curves, publics)
+    ):
         return False
     e = hash_to_int(message)
-    r_primes = []
+    r_sum = 0
     for c, s_i, q in zip(config.curves, sig.s, publics):
-        r_prime = _recover_r(e, sig.r, s_i, q, c, trace)
-        if r_prime is None:
+        w = _kernels.mod_inv(s_i, c.n)
+        big_r = curvemod.double_scalar_mul(e * w % c.n, c.base, sig.r * w % c.n, q, c)
+        if trace is not None:
+            trace.counts.field_inv += 1
+            trace.counts.field_mul += 2
+            trace.counts.ec_mul += 2
+            trace.counts.ec_add += 1
+        if big_r.is_infinity:
             return False
-        r_primes.append(r_prime)
+        r_prime = big_r.x % c.n
+        if trace is not None:
+            trace.points.append(big_r)
+            trace.r_values.append(r_prime)
+        r_sum += r_prime
     if trace is not None:
         trace.counts.field_add += t - 1
-    return sig.r == sum(r_primes)
+    return sig.r == r_sum
 
 
 def t_ecdsa_sign(
@@ -205,31 +218,31 @@ def t_ecdsa_sign(
     keypair: MultiCurveKeypair,
     nonces: NonceSource,
     trace: "Trace | None" = None,
-) -> TEcdsaSignature:
+) -> "tuple[MultiSignature, ...]":
     """Baseline: an independent ECDSA signature per curve, same message;
     each is a one-curve ``msign``."""
     pairs = []
     for c, d, q in zip(keypair.config.curves, keypair.d, keypair.q):
         one = MultiCurveKeypair(MultiCurveConfig((c,)), (d,), (q,))
         pairs.append(msign(message, one, nonces, trace))
-    return TEcdsaSignature(tuple(pairs))
+    return tuple(pairs)
 
 
 def t_ecdsa_verify(
     message: bytes,
-    sig: TEcdsaSignature,
+    pairs: "tuple[MultiSignature, ...]",
     publics: "tuple[Point, ...]",
     config: MultiCurveConfig,
     trace: "Trace | None" = None,
 ) -> bool:
     """Accept iff every per-curve signature verifies as a one-curve
     ``mverify``."""
-    if sig.t != config.t or len(publics) != config.t:
+    if len(pairs) != config.t or len(publics) != config.t:
         return False
-    for c, pair, q in zip(config.curves, sig.pairs, publics):
-        if not mverify(message, pair, (q,), MultiCurveConfig((c,)), trace):
-            return False
-    return True
+    return all(
+        mverify(message, pair, (q,), MultiCurveConfig((c,)), trace)
+        for c, pair, q in zip(config.curves, pairs, publics)
+    )
 
 
 # Wire format: 0x01 | t | (2-byte big-endian length + minimal big-endian

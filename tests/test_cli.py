@@ -286,6 +286,35 @@ def test_extra_q_entries_exit_2(workdir, toy_file, capsys, command):
     assert capsys.readouterr().err == f"error: {path}: q list does not match curve list\n"
 
 
+@pytest.mark.parametrize(
+    "curves, code",
+    [
+        ("SECP256K1,P256", 0),
+        ("Secp256k1, p256", 0),
+        ("p256,secp256k1", 2),
+        ("secp256r1,p256", 2),
+        ("SECP256K1", 2),
+    ],
+)
+def test_signature_curve_list_is_case_insensitive(workdir, capsys, curves, code):
+    # the key file and the registry take curve names in any case; so does
+    # the signature file, but the list must still name the same curves
+    assert main(["keygen", "--curves", "SECP256K1,P256", "--seed", "05"]) == 0
+    (workdir / "m.bin").write_bytes(b"m")
+    sign = ["sign", "--key", "key.sec", "--in", "m.bin", "--out", "s2.sig"]
+    assert main([*sign, "--seed", "07"]) == 0
+    doc = (workdir / "s2.sig").read_text()
+    assert "curves = secp256k1,p256\n" in doc
+    (workdir / "s2.sig").write_text(doc.replace("secp256k1,p256", curves))
+    capsys.readouterr()
+    assert main(["verify", "--public", "key.pub", "--in", "m.bin", "--sig", "s2.sig"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out == "VALID\n" and err == ""
+    else:
+        assert err == "error: s2.sig: curve list does not match the key file\n"
+
+
 @pytest.mark.parametrize("path", ["key.sec", "key.pub", "m.sig"])
 def test_bad_document_names_its_file(workdir, toy_file, capsys, path):
     keygen_toy(workdir, toy_file)

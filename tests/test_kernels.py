@@ -1,11 +1,14 @@
 """The group-law kernels against the independent oracles: exhaustively
 on the toy curves, which between them cover a = 0, a = p - 3 and general
-a, and on seeded random scalars plus OpenSSL on the full-size curves.
+a; on random small curves of composite order drawn by Hypothesis; and on
+seeded random scalars plus OpenSSL on the full-size curves.
 """
 
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mecdsa import _kernels
 from mecdsa.curve import scalar_mul
@@ -21,6 +24,8 @@ from .oracles import (
 )
 
 TOYS = (TEST17, TOY23, TOY43, TOY23M3)
+# Small enough that enumerating a curve's points costs milliseconds.
+SMALL_PRIMES = [q for q in range(5, 256) if all(q % f for f in range(2, q))]
 
 
 def _joint_oracle(u, p1, v, p2, a, p, mul):
@@ -64,6 +69,24 @@ def test_two_torsion_chains():
                     want = _joint_oracle(u, (x0, 0), v, q, a, p, repeated_add)
                     got = _kernels.double_scalar_mul(u, (x0, 0), v, q, a, p)
                     assert got == want, (x0, q, u, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernels_match_oracles_on_random_small_curves(data):
+    # a random curve's order is rarely prime, so its points include ones
+    # of small order, which the prime-order toys lack
+    p = data.draw(st.sampled_from(SMALL_PRIMES))
+    a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    assume((4 * a**3 + 27 * b**2) % p != 0)
+    points = enum_points(a, b, p)
+    p1, p2 = data.draw(st.sampled_from(points)), data.draw(st.sampled_from(points))
+    scalars = st.integers(0, 4 * len(points))
+    u, v = data.draw(scalars), data.draw(scalars)
+    up1 = repeated_add(u, p1, a, p)
+    assert _kernels.scalar_mul(u, p1, a, p) == up1
+    want = chord_tangent_add(up1, repeated_add(v, p2, a, p), a, p)
+    assert _kernels.double_scalar_mul(u, p1, v, p2, a, p) == want
 
 
 def test_scalar_mul_rejects_negative_scalars():

@@ -10,7 +10,6 @@ from mecdsa.multi import (
     MultiCurveConfig,
     MultiCurveKeypair,
     MultiSignature,
-    TEcdsaSignature,
     mkeygen,
     msign,
     mverify,
@@ -307,15 +306,14 @@ def test_t_ecdsa_degenerate_single_curve():
     config = MultiCurveConfig((TEST17,))
     kp = toy_keypair(config, [11])
     sig = t_ecdsa_sign(b"baseline 0", kp, ListNonceSource([5]))
-    assert sig.t == 1
-    assert sig.pairs[0] == msign(b"baseline 0", kp, ListNonceSource([5]))
+    assert sig == (msign(b"baseline 0", kp, ListNonceSource([5])),)
 
 
 def test_t_ecdsa_components_verify_individually(toy_pair_config):
     kp = toy_keypair(toy_pair_config, [4, 11])
     message = b"per-curve 0"
     sig = t_ecdsa_sign(message, kp, ListNonceSource([8, 8]))
-    for c, pair, q in zip(toy_pair_config.curves, sig.pairs, kp.q):
+    for c, pair, q in zip(toy_pair_config.curves, sig, kp.q):
         assert mverify(message, pair, (q,), MultiCurveConfig((c,)))
     assert t_ecdsa_verify(message, sig, kp.q, toy_pair_config)
 
@@ -324,9 +322,7 @@ def test_t_ecdsa_zeroed_s_refused(toy_pair_config):
     kp = toy_keypair(toy_pair_config, [4, 11])
     message = b"zeroed 0"
     sig = t_ecdsa_sign(message, kp, ListNonceSource([8, 8]))
-    broken = TEcdsaSignature(
-        (sig.pairs[0], MultiSignature(sig.pairs[1].r, (0,)))
-    )
+    broken = (sig[0], MultiSignature(sig[1].r, (0,)))
     assert not t_ecdsa_verify(message, broken, kp.q, toy_pair_config)
 
 
@@ -334,7 +330,7 @@ def test_t_ecdsa_permuted_components_refused(toy_pair_config):
     kp = toy_keypair(toy_pair_config, [4, 11])
     message = b"permuted 0"
     sig = t_ecdsa_sign(message, kp, ListNonceSource([8, 8]))
-    permuted = TEcdsaSignature((sig.pairs[1], sig.pairs[0]))
+    permuted = (sig[1], sig[0])
     assert not t_ecdsa_verify(message, permuted, kp.q, toy_pair_config)
 
 
@@ -342,5 +338,5 @@ def test_t_ecdsa_total_payload_is_twice_sum_of_order_bits(toy_pair_config):
     kp = toy_keypair(toy_pair_config, [4, 11])
     sig = t_ecdsa_sign(b"length 1", kp, ListNonceSource([8, 8]))
     bound = 2 * sum(c.n.bit_length() for c in toy_pair_config.curves)
-    total = sum(p.r.bit_length() + p.s[0].bit_length() for p in sig.pairs)
+    total = sum(p.r.bit_length() + p.s[0].bit_length() for p in sig)
     assert total <= bound

@@ -67,7 +67,7 @@ def test_openssl_verifies_every_t_ecdsa_pair():
         keypair = mkeygen(config, rng)
         message = b"t-ecdsa %d" % i
         sig = t_ecdsa_sign(message, keypair, rng)
-        for name, d, pair in zip(NAMES, keypair.d, sig.pairs):
+        for name, d, pair in zip(NAMES, keypair.d, sig):
             key = ec.derive_private_key(d, OPENSSL_CURVES[name])
             assert _openssl_accepts(key, pair.r, *pair.s, message), (name, i)
 
