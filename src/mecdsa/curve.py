@@ -2,10 +2,10 @@
 compression, text encodings, and parameter validation.
 
 Curve arithmetic delegates to ``mecdsa._kernels``, one plain-Python
-module; this module owns the typed surface.  Affine coordinates with one
-field inversion per addition are the ground truth here, and the test
-suite checks them against independent oracles.  One ladder serves every
-multiply: ``double_scalar_mul`` computes u*P + v*Q in a joint pass, and
+module; this module owns the typed surface.  Points here are affine, and
+the test suite checks the kernel against independent oracles.  One ladder
+serves every multiply: ``double_scalar_mul`` computes u*P + v*Q in a joint
+pass with a Jacobian accumulator and one inversion at the end, and
 ``scalar_mul`` is its v = 0 case.
 
 Points are checked once, where they enter.  The group law, the joint
@@ -248,6 +248,11 @@ def validate_curve_params(c: CurveParams, strict: bool = True) -> ValidationRepo
         return passed
 
     run("field-modulus-prime", lambda: is_probable_prime(c.p))
+    run(
+        "coefficients-in-field",
+        lambda: c.a < c.p and c.b < c.p,
+        "a or b is not in [0, p-1]",
+    )
     run(
         "discriminant-nonzero",
         lambda: (4 * c.a**3 + 27 * c.b**2) % c.p != 0,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -217,6 +218,17 @@ def test_validate_singular_curve_fails_discriminant():
     report = validate_curve_params(singular, strict=False)
     failed = {chk.name for chk in report.failures()}
     assert "discriminant-nonzero" in failed
+
+
+@pytest.mark.parametrize("coeff", ["a", "b"])
+def test_validate_refuses_coefficient_outside_the_field(coeff):
+    # SEC 1 v2 3.1.1.2.1 step 2: a and b must be residues in [0, p-1].
+    # a + p and b + p give the same curve equation, so only this check
+    # notices them.
+    c = default_registry().get("secp256k1")
+    shifted = dataclasses.replace(c, **{coeff: getattr(c, coeff) + c.p})
+    report = validate_curve_params(shifted, strict=True)
+    assert {chk.name for chk in report.failures()} == {"coefficients-in-field"}
 
 
 def test_validate_test17_modes():

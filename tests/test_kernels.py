@@ -183,6 +183,36 @@ def test_group_law_does_not_count_as_scheme_inversions(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["secp256k1", "p256"])
+def test_ladder_inversions_do_not_grow_with_the_scalar(name, monkeypatch):
+    # The affine table costs at most 13 inversions (2 when v = 0) and the
+    # Jacobian accumulator one more at the end, at any scalar length; an
+    # affine accumulator would pay one per group operation.
+    c = default_registry().get(name)
+    g = (c.gx, c.gy)
+    rnd = random.Random(20)
+    q = _kernels.scalar_mul(rnd.randrange(1, c.n), g, c.a, c.p)
+    calls = []
+    original = _kernels._inv
+
+    def counting(a, m):
+        calls.append(a)
+        return original(a, m)
+
+    monkeypatch.setattr(_kernels, "_inv", counting)
+    single, joint = set(), set()
+    for bits in (2, 64, 256):
+        k, v = (rnd.getrandbits(bits) | 1 << (bits - 1) for _ in range(2))
+        calls.clear()
+        _kernels.scalar_mul(k, g, c.a, c.p)
+        single.add(len(calls))
+        calls.clear()
+        _kernels.double_scalar_mul(k, g, v, q, c.a, c.p)
+        joint.add(len(calls))
+    assert len(single) == 1 and max(single) <= 3, single
+    assert len(joint) == 1 and max(joint) <= 14, joint
+
+
+@pytest.mark.parametrize("name", ["secp256k1", "p256"])
 def test_scalar_mul_matches_openssl(name):
     pytest.importorskip("cryptography")
     from cryptography.hazmat.primitives.asymmetric import ec
