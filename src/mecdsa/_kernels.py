@@ -1,11 +1,11 @@
-"""Group-law kernels: field inversion, affine point addition, and one
-scalar-multiplication ladder: 2-bit Straus-Shamir interleaving for the
-joint u*P + v*Q, of which k*P is the v = 0 case.
+"""Group-law kernels: field inversion, and one Straus pass for every
+scalar multiply, with 4-bit windows for k*P and 2-bit ones for u*P + v*Q.
 
-The ladder keeps its table of small multiples affine and its accumulator
-in Jacobian coordinates (Hankerson, Menezes and Vanstone, *Guide to
-Elliptic Curve Cryptography*, 3.2.2), so a whole multiply pays one field
-inversion to return to affine form, plus one per table entry it computes.
+The group law is Jacobian only (Hankerson, Menezes and Vanstone, *Guide
+to Elliptic Curve Cryptography*, 3.2.2 and 3.3.3).  One simultaneous
+inversion (Montgomery 1987) takes the 16-entry table to affine and one
+more the sum, so a multiply pays two at any scalar length.  The affine
+chord-and-tangent law lives only in the test oracles, as the reference.
 
 Points at this layer are ``None`` (the identity) or ``(x, y)`` tuples of
 canonical residues; no on-curve checking happens here, that is the
@@ -27,34 +27,6 @@ def mod_inv(a, m):
 # The group law inverts through this private name, so that wrapping the
 # public ``mod_inv`` to count calls sees only the scheme's own inversions.
 _inv = mod_inv
-
-
-def _double(pt, a, p):
-    if pt is None:
-        return None
-    x, y = pt
-    if y == 0:
-        return None
-    lam = (3 * x * x + a) * _inv(2 * y, p) % p
-    x3 = (lam * lam - 2 * x) % p
-    return (x3, (lam * (x - x3) - y) % p)
-
-
-def point_add(p1, p2, a, p):
-    """Affine group law: identity, inverse pairs, tangent doubling, chord."""
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        return _double(p1, a, p)
-    lam = (y2 - y1) * _inv((x2 - x1) % p, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return (x3, (lam * (x1 - x3) - y1) % p)
 
 
 def _jac_double(acc, a, p):
@@ -88,40 +60,64 @@ def _jac_add_affine(acc, pt, a, p):
     return (x3, (r * (v - x3) - y1 * hhh) % p, z1 * h % p)
 
 
-def double_scalar_mul(u, p1, v, p2, a, p):
-    """u*p1 + v*p2 in one joint pass (Straus-Shamir, 2-bit windows).
+def _to_affine(points, p):
+    """Jacobian points to affine, Z = 0 to None, with one inversion of
+    the product of the nonzero Z, peeling each Z^-1 off it from the back."""
+    prefix, prod = [], 1
+    for _, _, z in points:
+        prefix.append(prod)
+        if z:
+            prod = prod * z % p
+    inv = _inv(prod, p)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        if z:
+            zi, inv = inv * prefix[i] % p, inv * z % p
+            zi2 = zi * zi % p
+            out[i] = (x * zi2 % p, y * zi2 * zi % p)
+    return out
 
-    One affine table holds i*p1 + j*p2 for i, j in 0..3; each 2-bit window
-    of u and v then costs two Jacobian doublings and at most one mixed
-    addition, and one inversion maps the sum back to affine.  u, v >= 0
-    and are used as given (no reduction), so order checks like n*P work.
+
+def _straus(pairs, a, p):
+    """Sum of k*pt over m = 1, 2 or 4 (k, pt) pairs, k >= 0 and not reduced.
+
+    Table entry i, read as m digits of w = 4/m bits, is the sum of digit*pt;
+    each w-bit window costs w doublings and at most one mixed addition.
     """
-    if u < 0 or v < 0:
+    if any(k < 0 for k, _ in pairs):
         raise ValueError("scalars must be non-negative")
-    col = [None, p1, _double(p1, a, p)]
-    col.append(point_add(col[2], p1, a, p))
-    row = [None, p2, _double(p2, a, p)]
-    row.append(point_add(row[2], p2, a, p))
-    table = [point_add(x, y, a, p) for x in col for y in row]
-    top = max(u.bit_length(), v.bit_length())
-    # The accumulator (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3), each
+    w = 4 // len(pairs)
+    mask = (1 << w) - 1
+    # A Jacobian (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3), each
     # coordinate reduced mod p; any Z = 0 is the identity, as here.
+    table = [(1, 1, 0)]
+    for i in range(1, 16):
+        # step the lowest nonzero digit: entry i is entry i - 2^(w*d) + pt
+        d = ((i & -i).bit_length() - 1) // w
+        prev, pt = table[i - (1 << w * d)], pairs[-1 - d][1]
+        table.append(prev if pt is None else _jac_add_affine(prev, pt, a, p))
+    table = _to_affine(table, p)
+    top = max(k.bit_length() for k, _ in pairs)
     acc = (1, 1, 0)
-    # Round the top window up to an even bit count, so windows end at bit 0.
-    for shift in range(top + (top & 1) - 2, -1, -2):
-        acc = _jac_double(_jac_double(acc, a, p), a, p)
-        entry = table[((u >> shift) & 3) << 2 | ((v >> shift) & 3)]
-        if entry is not None:
-            acc = _jac_add_affine(acc, entry, a, p)
-    x, y, z = acc
-    if z == 0:
-        return None
-    zi = _inv(z, p)
-    zi2 = zi * zi % p
-    return (x * zi2 % p, y * zi2 * zi % p)
+    # Round the top window up to w bits, so windows end at bit 0.
+    for shift in range(-(-top // w) * w - w, -1, -w):
+        i = 0
+        for k, _ in pairs:
+            i = i << w | (k >> shift) & mask
+        for _ in range(w):
+            acc = _jac_double(acc, a, p)
+        if table[i] is not None:
+            acc = _jac_add_affine(acc, table[i], a, p)
+    return _to_affine([acc], p)[0]
+
+
+def double_scalar_mul(u, p1, v, p2, a, p):
+    """u*p1 + v*p2, u, v >= 0 and not reduced, so order checks like n*P
+    work: 2-bit windows, table entry i<<2 | j = i*p1 + j*p2."""
+    return _straus(((u, p1), (v, p2)), a, p)
 
 
 def scalar_mul(k, pt, a, p):
-    """k-fold group sum of pt, k >= 0 and not reduced: the joint ladder
-    with v = 0."""
-    return double_scalar_mul(k, pt, 0, None, a, p)
+    """k-fold group sum of pt, k >= 0 and not reduced: 4-bit windows."""
+    return _straus(((k, pt),), a, p)

@@ -157,6 +157,8 @@ def _load_key_file(path, registry, need_secret):
         for c, q in zip(config.curves, publics):
             if q.is_infinity:
                 raise FormatError(f"public point on {c.name} is the identity")
+            if c.h != 1 and not curve.scalar_mul(c.n, q, c).is_infinity:
+                raise FormatError(f"public point on {c.name} is not of order n")
         if not need_secret:
             return config, None, publics
         if "d" not in kv:

@@ -3,10 +3,10 @@ compression, text encodings, and parameter validation.
 
 Curve arithmetic delegates to ``mecdsa._kernels``, one plain-Python
 module; this module owns the typed surface.  Points here are affine, and
-the test suite checks the kernel against independent oracles.  One ladder
-serves every multiply: ``double_scalar_mul`` computes u*P + v*Q in a joint
-pass with a Jacobian accumulator and one inversion at the end, and
-``scalar_mul`` is its v = 0 case.
+the test suite checks the kernel against independent oracles.  One
+Jacobian Straus pass serves every multiply: ``scalar_mul`` computes k*P,
+``double_scalar_mul`` u*P + v*Q jointly, and ``point_add`` is its
+u = v = 1 case.
 
 Points are checked once, where they enter.  The group law, the joint
 ladder and the encoders take points known to be on the curve: a
@@ -103,8 +103,8 @@ def _raw(pt: Point):
 
 
 def point_add(pt: Point, other: Point, c: CurveParams) -> Point:
-    """Group law: identity, inverse pairs, tangent doubling, chord."""
-    return _wrap(_kernels.point_add(_raw(pt), _raw(other), c.a, c.p))
+    """Group law: the joint ladder's 1*pt + 1*other."""
+    return double_scalar_mul(1, pt, 1, other, c)
 
 
 def scalar_mul(k: int, pt: Point, c: CurveParams) -> Point:

@@ -14,7 +14,9 @@ fresh nonces for all curves.  Verification recomputes R_i =
 (e/s_i)*P_i + (r/s_i)*Q_i per curve, in one joint ladder pass tallied as
 the paper's two EC multiplies and one EC add, and accepts when r equals
 the sum of the recovered x-coordinates reduced per curve.  It refuses a
-public key Q_i = O and an R_i = O, whose x-coordinate does not exist.
+public key Q_i = O, one off the curve or, when the cofactor h_i is not 1,
+outside the subgroup of P_i (n_i*Q_i != O, SEC 1 v2 3.2.2.1), and an
+R_i = O, whose x-coordinate does not exist.
 For t = 1 all of this is plain ECDSA, bit for bit, so ``msign`` and
 ``mverify`` hold the only copy of ECDSA's per-curve steps, each with its
 tallies, and the library has no other signer: the t-ECDSA baseline is a
@@ -187,7 +189,9 @@ def mverify(
     if not all(1 <= s_i <= c.n - 1 for c, s_i in zip(config.curves, sig.s)):
         return False
     if any(
-        q.is_infinity or not curvemod.is_on_curve(q, c)
+        q.is_infinity
+        or not curvemod.is_on_curve(q, c)
+        or (c.h != 1 and not curvemod.scalar_mul(c.n, q, c).is_infinity)
         for c, q in zip(config.curves, publics)
     ):
         return False

@@ -47,19 +47,19 @@ def test_point_add_matches_chord_tangent_on_full_toy_table(c):
     points = enum_points(c.a, c.b, c.p)
     for p1 in points:
         for p2 in points:
-            assert _kernels.point_add(p1, p2, c.a, c.p) == chord_tangent_add(
-                p1, p2, c.a, c.p
-            ), (c.name, p1, p2)
+            got = _kernels.double_scalar_mul(1, p1, 1, p2, c.a, c.p)
+            assert got == chord_tangent_add(p1, p2, c.a, c.p), (c.name, p1, p2)
 
 
 def test_two_torsion_chains():
     # y^2 = x^3 - x over F_23 has 24 points, three of them (y = 0) of
-    # order two; the joint ladder adds each to every point of the curve
+    # order two; the joint ladder adds each to every point of the curve.
+    # k*P runs past its first 4-bit window, whose table has Z = 0 entries.
     p, a = 23, 22
     points = enum_points(a, 0, p)
     assert len(points) == 24
     for x0 in (0, 1, 22):
-        for k in range(0, 8):
+        for k in range(0, 41):
             want = repeated_add(k, (x0, 0), a, p)
             assert _kernels.scalar_mul(k, (x0, 0), a, p) == want
             assert want == (None if k % 2 == 0 else (x0, 0))
@@ -172,9 +172,10 @@ def test_group_law_does_not_count_as_scheme_inversions(monkeypatch):
     monkeypatch.setattr(_kernels, "mod_inv", counting)
     c = TEST17
     g = (c.gx, c.gy)
-    g2 = _kernels.point_add(g, g, c.a, c.p)
+    g2 = _kernels.double_scalar_mul(1, g, 1, g, c.a, c.p)
     assert g2 == chord_tangent_add(g, g, c.a, c.p)
-    assert _kernels.point_add(g, g2, c.a, c.p) == chord_tangent_add(g, g2, c.a, c.p)
+    g3 = _kernels.double_scalar_mul(1, g, 1, g2, c.a, c.p)
+    assert g3 == chord_tangent_add(g, g2, c.a, c.p)
     assert _kernels.scalar_mul(5, g, c.a, c.p) == repeated_add(5, g, c.a, c.p)
     assert _kernels.double_scalar_mul(5, g, 6, g2, c.a, c.p) == repeated_add(
         17, g, c.a, c.p
@@ -184,9 +185,9 @@ def test_group_law_does_not_count_as_scheme_inversions(monkeypatch):
 
 @pytest.mark.parametrize("name", ["secp256k1", "p256"])
 def test_ladder_inversions_do_not_grow_with_the_scalar(name, monkeypatch):
-    # The affine table costs at most 13 inversions (2 when v = 0) and the
-    # Jacobian accumulator one more at the end, at any scalar length; an
-    # affine accumulator would pay one per group operation.
+    # One batch inversion takes the Jacobian table to affine and one more
+    # the sum, at any scalar length; an affine group law would pay one
+    # per group operation.
     c = default_registry().get(name)
     g = (c.gx, c.gy)
     rnd = random.Random(20)
@@ -208,8 +209,49 @@ def test_ladder_inversions_do_not_grow_with_the_scalar(name, monkeypatch):
         calls.clear()
         _kernels.double_scalar_mul(k, g, v, q, c.a, c.p)
         joint.add(len(calls))
-    assert len(single) == 1 and max(single) <= 3, single
-    assert len(joint) == 1 and max(joint) <= 14, joint
+    assert single == {2} and joint == {2}, (single, joint)
+
+
+@pytest.mark.parametrize("name", ["secp256k1", "p256"])
+def test_ladder_group_operations_follow_closed_forms(name, monkeypatch):
+    # Per multiply with w-bit windows (w = 4 for k*P, 2 for u*P + v*Q):
+    # the table costs 15 mixed additions, of which each point's P + P
+    # falls through to one doubling; the main loop makes w doublings per
+    # window, the top one rounded up, and one addition per nonzero window.
+    c = default_registry().get(name)
+    g = (c.gx, c.gy)
+    rnd = random.Random(21)
+    q = _kernels.scalar_mul(rnd.randrange(1, c.n), g, c.a, c.p)
+    names = ("_jac_double", "_jac_add_affine", "_inv")
+    counts = dict.fromkeys(names, 0)
+    for fn in names:
+
+        def counting(*args, fn=fn, original=getattr(_kernels, fn)):
+            counts[fn] += 1
+            return original(*args)
+
+        monkeypatch.setattr(_kernels, fn, counting)
+
+    def cost(mul, *args):
+        counts.update(dict.fromkeys(names, 0))
+        mul(*args, c.a, c.p)
+        return tuple(counts[fn] for fn in names)
+
+    def windows(w, *scalars):
+        count = -(-max(k.bit_length() for k in scalars) // w)
+        digits = [[k >> w * j & (1 << w) - 1 for k in scalars] for j in range(count)]
+        return count, sum(any(d) for d in digits)
+
+    # all-zero scalars run no window, so this is the table alone
+    assert cost(_kernels.scalar_mul, 0, g) == (1, 15, 2)
+    assert cost(_kernels.double_scalar_mul, 0, g, 0, q) == (2, 15, 2)
+    for bits in (1, 2, 3, 5, 8, 64, 255, 256, 256, 256):
+        k, v = (rnd.getrandbits(bits) | 1 << (bits - 1) for _ in range(2))
+        count, nonzero = windows(4, k)
+        assert cost(_kernels.scalar_mul, k, g) == (1 + 4 * count, 15 + nonzero, 2)
+        count, nonzero = windows(2, k, v)
+        want = (2 + 2 * count, 15 + nonzero, 2)
+        assert cost(_kernels.double_scalar_mul, k, g, v, q) == want, (bits, k, v)
 
 
 @pytest.mark.parametrize("name", ["secp256k1", "p256"])
