@@ -1,11 +1,16 @@
-"""Group-law kernels: field inversion, and one Straus pass for every
-scalar multiply, with 4-bit windows for k*P and 2-bit ones for u*P + v*Q.
+"""Group-law kernels: field inversion, tables of odd multiples, and one
+interleaved signed-window pass for every scalar multiply.
 
 The group law is Jacobian only (Hankerson, Menezes and Vanstone, *Guide
-to Elliptic Curve Cryptography*, 3.2.2 and 3.3.3).  One simultaneous
-inversion (Montgomery 1987) takes the 16-entry table to affine and one
-more the sum, so a multiply pays two at any scalar length.  The affine
-chord-and-tangent law lives only in the test oracles, as the reference.
+to Elliptic Curve Cryptography*, 3.2.2).  A multiply is a sum of k*P
+terms, each with a table of P's odd multiples, and one pass over their
+width-w NAF digits (3.3.1 and 3.3.3): one doubling per digit position
+and one mixed addition per nonzero digit.  A fresh table costs one
+doubling and 2^(w-2) - 1 additions; one simultaneous inversion
+(Montgomery 1987) takes every 2P to affine and one more every table, and
+a third returns the sum, so a multiply pays three at any scalar length.
+The affine chord-and-tangent law lives only in the test oracles, as the
+reference.
 
 Points at this layer are ``None`` (the identity) or ``(x, y)`` tuples of
 canonical residues; no on-curve checking happens here, that is the
@@ -79,45 +84,95 @@ def _to_affine(points, p):
     return out
 
 
-def _straus(pairs, a, p):
-    """Sum of k*pt over m = 1, 2 or 4 (k, pt) pairs, k >= 0 and not reduced.
+def _wnaf(k, w):
+    """(position, digit) of each nonzero width-w NAF digit of k >= 0, lowest
+    first: every digit is odd with |digit| < 2^(w-1), and at least w - 1
+    zero digits follow each one."""
+    out, pos, mask, top = [], 0, (1 << w) - 1, 1 << (w - 1)
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        pos += zeros
+        d = k & mask
+        if d >= top:
+            d -= 1 << w
+        out.append((pos, d))
+        # k - d is a multiple of 2^w, so the next w - 1 digits are zero
+        k = (k - d) >> w
+        pos += w
+    return out
 
-    Table entry i, read as m digits of w = 4/m bits, is the sum of digit*pt;
-    each w-bit window costs w doublings and at most one mixed addition.
+
+def odd_multiples(points, w, a, p):
+    """Affine tables [P, 3P, ..., (2^(w-1) - 1)*P] of 2^(w-2) entries, one
+    per affine point (or None), for w >= 2.
+
+    Each entry is the one before plus 2P, one mixed addition; one batch
+    inversion takes every 2P to affine first and one more every table.
     """
-    if any(k < 0 for k, _ in pairs):
-        raise ValueError("scalars must be non-negative")
-    w = 4 // len(pairs)
-    mask = (1 << w) - 1
+    twos = _to_affine(
+        [(1, 1, 0) if pt is None else _jac_double((*pt, 1), a, p) for pt in points], p
+    )
+    size, entries = 1 << (w - 2), []
+    for pt, two in zip(points, twos):
+        entry = (1, 1, 0) if pt is None else (*pt, 1)
+        entries.append(entry)
+        for _ in range(size - 1):
+            if two is not None:
+                entry = _jac_add_affine(entry, two, a, p)
+            entries.append(entry)
+    entries = _to_affine(entries, p)
+    return [entries[i : i + size] for i in range(0, len(entries), size)]
+
+
+def wnaf_sum(terms, a, p):
+    """Sum of k*P over (k, table) terms, one interleaved signed-window pass.
+
+    A table holds the affine odd multiples of its P (``odd_multiples``),
+    and its length 2^(w-2) sets the width w of k's NAF digits.  k may be
+    negative: its digits then add their entries with y negated.  The pass
+    makes one doubling per digit position, from the highest one that
+    adds a point down, and one mixed addition per nonzero digit whose
+    entry is not the identity.
+    """
+    adds = {}
+    for k, table in terms:
+        w = len(table).bit_length() + 1
+        for pos, d in _wnaf(abs(k), w):
+            pt = table[abs(d) >> 1]
+            if pt is not None:
+                if (d < 0) != (k < 0):
+                    pt = (pt[0], -pt[1] % p)
+                adds.setdefault(pos, []).append(pt)
     # A Jacobian (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3), each
     # coordinate reduced mod p; any Z = 0 is the identity, as here.
-    table = [(1, 1, 0)]
-    for i in range(1, 16):
-        # step the lowest nonzero digit: entry i is entry i - 2^(w*d) + pt
-        d = ((i & -i).bit_length() - 1) // w
-        prev, pt = table[i - (1 << w * d)], pairs[-1 - d][1]
-        table.append(prev if pt is None else _jac_add_affine(prev, pt, a, p))
-    table = _to_affine(table, p)
-    top = max(k.bit_length() for k, _ in pairs)
     acc = (1, 1, 0)
-    # Round the top window up to w bits, so windows end at bit 0.
-    for shift in range(-(-top // w) * w - w, -1, -w):
-        i = 0
-        for k, _ in pairs:
-            i = i << w | (k >> shift) & mask
-        for _ in range(w):
-            acc = _jac_double(acc, a, p)
-        if table[i] is not None:
-            acc = _jac_add_affine(acc, table[i], a, p)
+    for pos in range(max(adds, default=-1), -1, -1):
+        acc = _jac_double(acc, a, p)
+        for pt in adds.get(pos, ()):
+            acc = _jac_add_affine(acc, pt, a, p)
     return _to_affine([acc], p)[0]
+
+
+# Window width of the table a multiply builds for each of its points:
+# 8 entries, 1 doubling and 7 mixed additions, then about one addition per
+# 6 bits of scalar.
+FRESH_W = 5
+
+
+def _fresh(pairs, a, p):
+    if any(k < 0 for k, _ in pairs):
+        raise ValueError("scalars must be non-negative")
+    tables = odd_multiples([pt for _, pt in pairs], FRESH_W, a, p)
+    return wnaf_sum(zip((k for k, _ in pairs), tables), a, p)
 
 
 def double_scalar_mul(u, p1, v, p2, a, p):
     """u*p1 + v*p2, u, v >= 0 and not reduced, so order checks like n*P
-    work: 2-bit windows, table entry i<<2 | j = i*p1 + j*p2."""
-    return _straus(((u, p1), (v, p2)), a, p)
+    work: fresh tables of both points, then one joint pass."""
+    return _fresh(((u, p1), (v, p2)), a, p)
 
 
 def scalar_mul(k, pt, a, p):
-    """k-fold group sum of pt, k >= 0 and not reduced: 4-bit windows."""
-    return _straus(((k, pt),), a, p)
+    """k-fold group sum of pt, k >= 0 and not reduced."""
+    return _fresh(((k, pt),), a, p)

@@ -11,8 +11,9 @@ multi-signature on message m is (r, s_1..s_t):
 If r = 0 (mod n_i) for any i — or any s_i lands on 0, which is a shared
 failure because every s_j depends on r — the whole pass restarts with
 fresh nonces for all curves.  Verification recomputes R_i =
-(e/s_i)*P_i + (r/s_i)*Q_i per curve, in one joint ladder pass tallied as
-the paper's two EC multiplies and one EC add, and accepts when r equals
+(e/s_i)*P_i + (r/s_i)*Q_i per curve, in one signed-window pass over a
+cached table of P_i and a fresh one of Q_i, tallied as the paper's two
+EC multiplies and one EC add, and accepts when r equals
 the sum of the recovered x-coordinates reduced per curve.  It refuses a
 public key Q_i = O, one off the curve or, when the cofactor h_i is not 1,
 outside the subgroup of P_i (n_i*Q_i != O, SEC 1 v2 3.2.2.1), and an
@@ -199,7 +200,7 @@ def mverify(
     r_sum = 0
     for c, s_i, q in zip(config.curves, sig.s, publics):
         w = _kernels.mod_inv(s_i, c.n)
-        big_r = curvemod.double_scalar_mul(e * w % c.n, c.base, sig.r * w % c.n, q, c)
+        big_r = curvemod.double_scalar_mul_base(e * w % c.n, sig.r * w % c.n, q, c)
         if trace is not None:
             trace.counts.field_inv += 1
             trace.counts.field_mul += 2

@@ -3,7 +3,7 @@
 A tallied operation is one explicit step of the signing or verification
 procedure: computing k*P is a single EC multiply no matter how many
 doublings run inside the kernel, and kernel internals are never counted.
-Verification's R = u*P + v*Q runs as one joint ladder pass but is still
+Verification's R = u*P + v*Q runs as one signed-window pass but is still
 tallied as the paper's 2 EC multiplies and 1 EC add.  This is the only
 granularity at which the cost-model predictions are reproducible, so it
 is the only one offered.

@@ -1,7 +1,9 @@
 """The group-law kernels against the independent oracles: exhaustively
 on the toy curves, which between them cover a = 0, a = p - 3 and general
 a; on random small curves of composite order drawn by Hypothesis; and on
-seeded random scalars plus OpenSSL on the full-size curves.
+seeded random scalars plus OpenSSL on the full-size curves.  The
+verifier's u*G + v*Q from curve's cached tables is checked the same way,
+on the GLV path on TOY43 and secp256k1.
 """
 
 import random
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mecdsa import _kernels
-from mecdsa.curve import scalar_mul
+from mecdsa import _kernels, curve
+from mecdsa.curve import Point, scalar_mul
 from mecdsa.registry import default_registry
 
 from .conftest import TEST17, TOY23, TOY23M3, TOY43
@@ -31,6 +33,28 @@ SMALL_PRIMES = [q for q in range(5, 256) if all(q % f for f in range(2, q))]
 def _joint_oracle(u, p1, v, p2, a, p, mul):
     """u*p1 + v*p2 from the oracles' own multiply and addition."""
     return chord_tangent_add(mul(u, p1, a, p), mul(v, p2, a, p), a, p)
+
+
+def _base_form(u, v, q, c):
+    """curve's u*G + v*Q from its cached G tables, as a raw tuple."""
+    got = curve.double_scalar_mul_base(u, v, Point() if q is None else Point(*q), c)
+    return None if got.is_infinity else (got.x, got.y)
+
+
+def _naf(k, w):
+    """Width-w NAF digits of k >= 0, lowest first, one bit at a time
+    (Hankerson, Menezes and Vanstone, Algorithm 3.35)."""
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k % (1 << w)
+            if d >= 1 << (w - 1):
+                d -= 1 << w
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
 
 
 @pytest.mark.parametrize("c", TOYS, ids=lambda c: c.name)
@@ -53,8 +77,8 @@ def test_point_add_matches_chord_tangent_on_full_toy_table(c):
 
 def test_two_torsion_chains():
     # y^2 = x^3 - x over F_23 has 24 points, three of them (y = 0) of
-    # order two; the joint ladder adds each to every point of the curve.
-    # k*P runs past its first 4-bit window, whose table has Z = 0 entries.
+    # order two; the joint pass adds each to every point of the curve.
+    # Its table of odd multiples holds P throughout, as 2P = O.
     p, a = 23, 22
     points = enum_points(a, 0, p)
     assert len(points) == 24
@@ -97,13 +121,17 @@ def test_scalar_mul_rejects_negative_scalars():
     for u, v in ((-1, 1), (1, -1), (-1, 0), (0, -1)):
         with pytest.raises(ValueError):
             _kernels.double_scalar_mul(u, g, v, g, c.a, c.p)
+    for u, v in ((-1, 1), (1, -1), (c.n, 1), (1, c.n)):
+        with pytest.raises(ValueError):
+            curve.double_scalar_mul_base(u, v, c.base, c)
 
 
 @pytest.mark.parametrize("c", TOYS, ids=lambda c: c.name)
 def test_double_scalar_mul_matches_oracle_for_every_toy_q_and_scalar_pair(c):
     # u*G + v*Q for every Q and every u, v in 0..n.  Since G generates the
     # group, this passes through u*G = -v*Q (the sum is O) and u*G = v*Q
-    # (the sum is a doubling) on every curve.
+    # (the sum is a doubling) on every curve.  The base form, for u, v < n,
+    # takes G from curve's cache, and on TOY43 splits u and v by GLV.
     g = (c.gx, c.gy)
     g_mults = [repeated_add(u, g, c.a, c.p) for u in range(c.n + 1)]
     cancels = doubles = 0
@@ -114,6 +142,8 @@ def test_double_scalar_mul_matches_oracle_for_every_toy_q_and_scalar_pair(c):
                 want = chord_tangent_add(ug, vq, c.a, c.p)
                 got = _kernels.double_scalar_mul(u, g, v, q, c.a, c.p)
                 assert got == want, (c.name, q, u, v)
+                if u < c.n and v < c.n:
+                    assert _base_form(u, v, q, c) == want, (c.name, q, u, v)
                 if ug is not None and vq is not None:
                     cancels += want is None
                     doubles += ug == vq
@@ -135,18 +165,46 @@ def test_scalar_mul_matches_affine_ladder_on_builtins():
 
 
 def test_double_scalar_mul_matches_affine_ladder_on_builtins():
+    # The GLV edges lam and n - lam split to halves (0, 1) and (0, -1).
     rnd = random.Random(1808)
     registry = default_registry()
+    assert [name for name in registry.names() if curve._glv(registry.get(name))] == [
+        "secp256k1"
+    ]
     for name in registry.names():
         c = registry.get(name)
         g = (c.gx, c.gy)
         q = affine_ladder(rnd.randrange(1, c.n), g, c.a, c.p)
         pairs = [(rnd.randrange(1, c.n), rnd.randrange(1, c.n)) for _ in range(20)]
-        for edge in (0, 1, c.n - 1):
+        glv = curve._glv(c)
+        edges = (0, 1, c.n - 1) + ((glv[1], c.n - glv[1]) if glv else ())
+        for edge in edges:
             pairs += [(edge, rnd.randrange(1, c.n)), (rnd.randrange(1, c.n), edge)]
+        pairs += [(e1, e2) for e1 in edges for e2 in edges]
         for u, v in pairs:
             want = _joint_oracle(u, g, v, q, c.a, c.p, affine_ladder)
             assert _kernels.double_scalar_mul(u, g, v, q, c.a, c.p) == want, (name, u, v)
+            assert _base_form(u, v, q, c) == want, (name, u, v)
+
+
+def test_glv_split_recombines_to_k_with_halves_below_2_129():
+    c = default_registry().get("secp256k1")
+    beta, lam, basis = curve._glv(c)
+    # beta and lam are nontrivial cube roots of unity, matched on G
+    assert beta != 1 and pow(beta, 3, c.p) == 1
+    assert lam != 1 and pow(lam, 3, c.n) == 1
+    assert _kernels.scalar_mul(lam, (c.gx, c.gy), c.a, c.p) == (beta * c.gx % c.p, c.gy)
+    a1, b1, a2, b2 = basis
+    assert (a1 + b1 * lam) % c.n == 0 and (a2 + b2 * lam) % c.n == 0
+    assert abs(a1 * b2 - a2 * b1) == c.n
+    rnd = random.Random(3574)
+    scalars = [0, 1, 2, c.n - 1, lam, c.n - lam] + [rnd.randrange(c.n) for _ in range(500)]
+    for k in scalars:
+        k1, k2 = curve._glv_split(k, basis, c.n)
+        assert (k1 + k2 * lam - k) % c.n == 0, k
+        assert abs(k1) < 2**129 and abs(k2) < 2**129, (k, k1, k2)
+    assert curve._glv_split(lam, basis, c.n) == (0, 1)
+    assert curve._glv_split(c.n - lam, basis, c.n) == (0, -1)
 
 
 def test_mod_inv_matches_fermat_and_rejects_zero():
@@ -185,13 +243,15 @@ def test_group_law_does_not_count_as_scheme_inversions(monkeypatch):
 
 @pytest.mark.parametrize("name", ["secp256k1", "p256"])
 def test_ladder_inversions_do_not_grow_with_the_scalar(name, monkeypatch):
-    # One batch inversion takes the Jacobian table to affine and one more
-    # the sum, at any scalar length; an affine group law would pay one
-    # per group operation.
+    # One batch inversion takes every 2P of the fresh tables to affine, one
+    # the tables, and one the sum, at any scalar length; an affine group
+    # law would pay one per group operation.  The base form builds only
+    # Q's table, so it pays 3 as well once G's tables are cached.
     c = default_registry().get(name)
     g = (c.gx, c.gy)
     rnd = random.Random(20)
     q = _kernels.scalar_mul(rnd.randrange(1, c.n), g, c.a, c.p)
+    curve._base_terms(c)
     calls = []
     original = _kernels._inv
 
@@ -200,7 +260,7 @@ def test_ladder_inversions_do_not_grow_with_the_scalar(name, monkeypatch):
         return original(a, m)
 
     monkeypatch.setattr(_kernels, "_inv", counting)
-    single, joint = set(), set()
+    single, joint, base = set(), set(), set()
     for bits in (2, 64, 256):
         k, v = (rnd.getrandbits(bits) | 1 << (bits - 1) for _ in range(2))
         calls.clear()
@@ -209,19 +269,26 @@ def test_ladder_inversions_do_not_grow_with_the_scalar(name, monkeypatch):
         calls.clear()
         _kernels.double_scalar_mul(k, g, v, q, c.a, c.p)
         joint.add(len(calls))
-    assert single == {2} and joint == {2}, (single, joint)
+        calls.clear()
+        _base_form(k % c.n, v % c.n, q, c)
+        base.add(len(calls))
+    assert single == joint == base == {3}, (single, joint, base)
 
 
 @pytest.mark.parametrize("name", ["secp256k1", "p256"])
 def test_ladder_group_operations_follow_closed_forms(name, monkeypatch):
-    # Per multiply with w-bit windows (w = 4 for k*P, 2 for u*P + v*Q):
-    # the table costs 15 mixed additions, of which each point's P + P
-    # falls through to one doubling; the main loop makes w doublings per
-    # window, the top one rounded up, and one addition per nonzero window.
+    # A fresh table of odd multiples P..15P costs one doubling (2P) and 7
+    # mixed additions (each entry is the one before plus 2P).  The pass
+    # makes one doubling per digit position, up to the highest nonzero
+    # NAF digit of any scalar, and one addition per nonzero digit.  Every
+    # multiply pays 3 inversions.  The base form reads G's tables from the
+    # cache (width 7), builds one of Q (width 5), and on secp256k1 runs
+    # the GLV halves of u and v over G, phi(G), Q and phi(Q).
     c = default_registry().get(name)
     g = (c.gx, c.gy)
     rnd = random.Random(21)
     q = _kernels.scalar_mul(rnd.randrange(1, c.n), g, c.a, c.p)
+    glv, g_tables = curve._base_terms(c)
     names = ("_jac_double", "_jac_add_affine", "_inv")
     counts = dict.fromkeys(names, 0)
     for fn in names:
@@ -234,24 +301,36 @@ def test_ladder_group_operations_follow_closed_forms(name, monkeypatch):
 
     def cost(mul, *args):
         counts.update(dict.fromkeys(names, 0))
-        mul(*args, c.a, c.p)
+        mul(*args)
         return tuple(counts[fn] for fn in names)
 
-    def windows(w, *scalars):
-        count = -(-max(k.bit_length() for k in scalars) // w)
-        digits = [[k >> w * j & (1 << w) - 1 for k in scalars] for j in range(count)]
-        return count, sum(any(d) for d in digits)
+    def digits(*terms):
+        """(digit positions, nonzero digits) of (scalar, width) terms."""
+        nafs = [_naf(abs(k), w) for k, w in terms]
+        return max(map(len, nafs)), sum(d != 0 for naf in nafs for d in naf)
 
-    # all-zero scalars run no window, so this is the table alone
-    assert cost(_kernels.scalar_mul, 0, g) == (1, 15, 2)
-    assert cost(_kernels.double_scalar_mul, 0, g, 0, q) == (2, 15, 2)
+    assert [len(table) for table in g_tables] == [32] * len(g_tables)
+    # all-zero scalars have no digits, so this is the tables alone
+    assert cost(_kernels.scalar_mul, 0, g, c.a, c.p) == (1, 7, 3)
+    assert cost(_kernels.double_scalar_mul, 0, g, 0, q, c.a, c.p) == (2, 14, 3)
+    assert cost(_base_form, 0, 0, q, c) == (1, 7, 3)
     for bits in (1, 2, 3, 5, 8, 64, 255, 256, 256, 256):
         k, v = (rnd.getrandbits(bits) | 1 << (bits - 1) for _ in range(2))
-        count, nonzero = windows(4, k)
-        assert cost(_kernels.scalar_mul, k, g) == (1 + 4 * count, 15 + nonzero, 2)
-        count, nonzero = windows(2, k, v)
-        want = (2 + 2 * count, 15 + nonzero, 2)
-        assert cost(_kernels.double_scalar_mul, k, g, v, q) == want, (bits, k, v)
+        positions, nonzero = digits((k, 5))
+        assert cost(_kernels.scalar_mul, k, g, c.a, c.p) == (1 + positions, 7 + nonzero, 3)
+        positions, nonzero = digits((k, 5), (v, 5))
+        want = (2 + positions, 14 + nonzero, 3)
+        assert cost(_kernels.double_scalar_mul, k, g, v, q, c.a, c.p) == want, (bits, k, v)
+        u, v = k % c.n, v % c.n
+        if glv is None:
+            terms = ((u, 7), (v, 5))
+        else:
+            (u1, u2), (v1, v2) = (curve._glv_split(x, glv[2], c.n) for x in (u, v))
+            terms = ((u1, 7), (u2, 7), (v1, 5), (v2, 5))
+        positions, nonzero = digits(*terms)
+        assert cost(_base_form, u, v, q, c) == (1 + positions, 7 + nonzero, 3), (bits, u, v)
+        # GLV halves the doublings: its halves are below 2^129
+        assert positions <= (130 if glv else c.n.bit_length() + 1)
 
 
 @pytest.mark.parametrize("name", ["secp256k1", "p256"])

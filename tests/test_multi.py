@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from mecdsa.opcount import Trace
 from mecdsa.registry import default_registry
 
 from .conftest import TEST17, TOY23, TOY43, toy_tuple
-from .oracles import hash_int, msign_oracle, mverify_oracle
+from .oracles import chord_tangent_add, hash_int, msign_oracle, mverify_oracle
 
 # engineered on (TEST17, TOY23): the first pair makes r = r_1 + r_2 = 19,
 # which is 0 mod n_1 and forces a full restart; the second pair is clean
@@ -340,3 +341,23 @@ def test_t_ecdsa_total_payload_is_twice_sum_of_order_bits(toy_pair_config):
     bound = 2 * sum(c.n.bit_length() for c in toy_pair_config.curves)
     total = sum(p.r.bit_length() + p.s[0].bit_length() for p in sig)
     assert total <= bound
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_base_tables_are_never_shared_between_curves(first):
+    # TOY43 and a copy whose base point is 2G share every field but gx and
+    # gy, the name included.  Each signature verifies under its own curve
+    # only, whichever curve's tables the cache builds first.
+    g2 = chord_tangent_add((TOY43.gx, TOY43.gy), (TOY43.gx, TOY43.gy), TOY43.a, TOY43.p)
+    curves = (TOY43, dataclasses.replace(TOY43, gx=g2[0], gy=g2[1]))
+    assert curves[0].name == curves[1].name and curves[0] != curves[1]
+    signed = []
+    for c in curves:
+        config = MultiCurveConfig((c,))
+        keypair = toy_keypair(config, [7])
+        signed.append((config, keypair.q, msign(b"shared name", keypair, ListNonceSource([11]))))
+    curve._base_terms.cache_clear()
+    for i in (first, 1 - first):
+        config = signed[i][0]
+        for j, (_, q, sig) in enumerate(signed):
+            assert mverify(b"shared name", sig, q, config) == (i == j), (i, j)

@@ -11,7 +11,7 @@ from mecdsa import _kernels, cli, curve, ecdsa, fieldmath, multi, registry
 from mecdsa.ecdsa import ListNonceSource
 from mecdsa.opcount import Trace
 
-from .conftest import TEST17, TOY23
+from .conftest import TEST17, TOY23, TOY43
 
 _TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 _MODULES = {
@@ -70,4 +70,28 @@ def test_tracer_sees_every_step_of_msign_and_mverify():
     assert spans["msign"]["curve.scalar_mul_base"] == 2
     assert spans["msign"]["curve.is_on_curve"] == 0
     assert spans["mverify"]["curve.is_on_curve"] == 2
+    assert tracer.miscounted_ops() == set()
+
+
+def test_building_the_base_tables_and_glv_data_shows_no_span():
+    # G's tables and TOY43's GLV data are built inside the first verify,
+    # from _kernels internals only: no traced multiply, inversion, square
+    # root or primality test appears beside verification's own spans
+    config = multi.MultiCurveConfig((TOY43, TOY23))
+    keypair = multi.mkeygen(config, ListNonceSource([12, 16]))
+    sig = multi.msign(b"cold", keypair, ListNonceSource([5, 9]))
+    curve._base_terms.cache_clear()
+    tracer = _tracer()
+    tracer.install()
+    try:
+        assert multi.mverify(b"cold", sig, keypair.q, config)
+    finally:
+        tracer.uninstall()
+    assert curve._base_terms.cache_info().currsize == 2
+    assert curve._glv(TOY43) is not None and curve._glv(TOY23) is None
+    spans = collections.Counter(span[0] for span in tracer.spans)
+    assert spans["multi.mverify"] == 1
+    assert spans["kernels.mod_inv"] == 2
+    assert spans["curve.is_on_curve"] == 2
+    assert not [name for name in spans if name.startswith(("curve.scalar_mul", "fieldmath."))]
     assert tracer.miscounted_ops() == set()
