@@ -4,11 +4,9 @@ Integers cross every file and module boundary as lowercase big-endian hex
 without a radix prefix.
 """
 
-import string
-
 from mecdsa.errors import FormatError
 
-_HEX_DIGITS = set(string.hexdigits)
+_HEX_DIGITS = set("0123456789abcdefABCDEF")
 
 
 def int_to_hex(value: int) -> str:

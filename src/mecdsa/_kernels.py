@@ -35,13 +35,17 @@ _inv = mod_inv
 
 
 def _jac_double(acc, a, p):
-    """2*acc for a Jacobian acc, on any curve: a enters as a*Z^4."""
+    """2*acc for a Jacobian acc, on any curve: M = 3X^2 + a*Z^4, with Z^2
+    skipped when a = 0 and M = 3(X - Z^2)(X + Z^2) when a = p - 3."""
     # Z3 = 2*Y*Z, so the identity and points of order two double to Z3 = 0.
     x, y, z = acc
     yy = y * y % p
     s = 4 * x * yy % p
-    zz = z * z % p
-    m = (3 * x * x + a * zz * zz) % p
+    if a == 0:
+        m = 3 * x * x % p
+    else:
+        zz = z * z % p
+        m = (3 * (x - zz) * (x + zz) if a == p - 3 else 3 * x * x + a * zz * zz) % p
     x3 = (m * m - 2 * s) % p
     return (x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p)
 

@@ -24,7 +24,7 @@ flag, never silently dropped.
 """
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from mecdsa.ecdsa import NonceSource, SeededNonceSource
 from mecdsa.multi import (
@@ -217,7 +217,7 @@ def report_kv_lines(reports: "list[CostReport]", lengths: LengthReport) -> str:
     for rep in reports:
         prefix = f"{rep.scheme}.{rep.phase}"
         for kind in ("counted", "predicted"):
-            for key, value in asdict(getattr(rep, kind)).items():
+            for key, value in vars(getattr(rep, kind)).items():
                 lines.append(f"{prefix}.{kind}.{key} = {value}")
         lines.append(f"{prefix}.match = {'true' if rep.counts_match else 'false'}")
         lines.append(f"{prefix}.retried = {'true' if rep.retried else 'false'}")

@@ -21,7 +21,6 @@ import contextlib
 import os
 import sys
 
-from mecdsa import bench as benchmod
 from mecdsa import curve
 from mecdsa._hex import hex_to_int, int_to_hex
 from mecdsa.curve import decode_point, encode_point, validate_curve_params
@@ -277,6 +276,8 @@ def _cmd_curves_validate(args):
 
 
 def _cmd_bench(args):
+    # only this command needs the bench, so only it pays for the import
+    from mecdsa import bench as benchmod
     registry = _build_registry(args.curve_file)
     names = _curve_names(args.curves)
     if args.length_samples < 1:

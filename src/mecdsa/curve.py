@@ -18,25 +18,29 @@ the group law.
 """
 
 import functools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from mecdsa import _kernels
 from mecdsa.errors import FormatError, InvalidPointError
 from mecdsa.fieldmath import is_probable_prime, sqrt_mod
 
 
-@dataclass(frozen=True)
-class Point:
-    """An affine point, or the identity when both coordinates are None."""
+class Point(namedtuple("Point", "x y")):
+    """An affine point, or the identity when both coordinates are None.
 
-    x: "int | None" = None
-    y: "int | None" = None
+    Immutable and hashable.  As a named tuple it also compares equal to
+    the plain tuple of its coordinates: ``Point(5, 1) == (5, 1)``.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, x: "int | None" = None, y: "int | None" = None):
+        self = super().__new__(cls, x, y)
         if (self.x is None) != (self.y is None):
             raise ValueError("either both coordinates or neither")
         if self.x is not None and (self.x < 0 or self.y < 0):
             raise ValueError("coordinates must be non-negative")
+        return self
 
     @property
     def is_infinity(self) -> bool:
@@ -51,31 +55,25 @@ class Point:
 INFINITY = Point()
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(namedtuple("CurveParams", "name p a b gx gy n h")):
     """One named curve y^2 = x^3 + ax + b over F_p with base point of
-    order n and cofactor h.
+    order n and cofactor h: a name and seven ints, immutable and hashable.
 
     The constructor keeps whatever integers it is given; judging them is
     ``validate_curve_params``'s job, so that broken parameter sets can be
     constructed and then reported on rather than exploding here.
     """
 
-    name: str
-    p: int
-    a: int
-    b: int
-    gx: int
-    gy: int
-    n: int
-    h: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.p < 2:
             raise ValueError("field modulus must be >= 2")
         for label in ("a", "b", "gx", "gy", "n", "h"):
             if getattr(self, label) < 0:
                 raise ValueError(f"parameter {label} must be non-negative")
+        return self
 
     @property
     def base(self) -> Point:
@@ -301,20 +299,16 @@ def decode_point(text: str, c: CurveParams) -> Point:
     raise FormatError(f"bad point prefix {prefix:#04x}")
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
-@dataclass
 class ValidationReport:
     """Outcome of validate_curve_params, one entry per check."""
 
-    curve_name: str
-    strict: bool
-    checks: "list[CheckResult]" = field(default_factory=list)
+    def __init__(self, curve_name: str, strict: bool):
+        self.curve_name = curve_name
+        self.strict = strict
+        self.checks: "list[CheckResult]" = []
 
     @property
     def ok(self) -> bool:

@@ -43,7 +43,7 @@ Nonces are drawn in curve-index order from a single source, so test-mode
 runs are reproducible; the r sum is the join point of the per-curve work.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # The steps call the kernels through their modules, never by a name bound
 # here, so that a wrapper set on the module (perfbench/tracer.py) sees them.
@@ -56,16 +56,16 @@ from mecdsa.errors import FormatError, NonceRangeError
 from mecdsa.opcount import Trace
 
 
-@dataclass(frozen=True)
-class MultiCurveConfig:
+class MultiCurveConfig(namedtuple("MultiCurveConfig", "curves")):
     """Ordered list of t >= 1 validated curves; duplicates permitted."""
 
-    curves: "tuple[CurveParams, ...]"
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "curves", tuple(self.curves))
+    def __new__(cls, curves: "tuple[CurveParams, ...]"):
+        self = super().__new__(cls, tuple(curves))
         if len(self.curves) < 1:
             raise ValueError("a multi-curve config needs at least one curve")
+        return self
 
     @property
     def t(self) -> int:
@@ -76,25 +76,22 @@ class MultiCurveConfig:
         return sum(c.n for c in self.curves)
 
 
-@dataclass(frozen=True)
-class MultiCurveKeypair:
-    """Independent per-curve keypairs, index-aligned with the config."""
+class MultiCurveKeypair(namedtuple("MultiCurveKeypair", "config d q")):
+    """Independent per-curve keypairs d and q, index-aligned with the config."""
 
-    config: MultiCurveConfig
-    d: "tuple[int, ...]"
-    q: "tuple[Point, ...]"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (len(self.d) == len(self.q) == self.config.t):
             raise ValueError("keypair lists must align with the config")
+        return self
 
 
-@dataclass(frozen=True)
-class MultiSignature:
+class MultiSignature(namedtuple("MultiSignature", "r s")):
     """(r, s_1..s_t): the shared unreduced sum plus one s per curve."""
 
-    r: int
-    s: "tuple[int, ...]"
+    __slots__ = ()
 
     @property
     def t(self) -> int:

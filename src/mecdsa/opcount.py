@@ -9,21 +9,25 @@ granularity at which the cost-model predictions are reproducible, so it
 is the only one offered.
 """
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class OpCounts:
     """Field add/mul/inv and EC add/mul tallies for one execution."""
 
-    field_add: int = 0
-    field_mul: int = 0
-    field_inv: int = 0
-    ec_add: int = 0
-    ec_mul: int = 0
+    def __init__(self, field_add=0, field_mul=0, field_inv=0, ec_add=0, ec_mul=0):
+        self.field_add = field_add
+        self.field_mul = field_mul
+        self.field_inv = field_inv
+        self.ec_add = ec_add
+        self.ec_mul = ec_mul
+
+    def __eq__(self, other):
+        return isinstance(other, OpCounts) and vars(self) == vars(other)
+
+    def __repr__(self):
+        tallies = ", ".join(f"{key}={value}" for key, value in vars(self).items())
+        return f"OpCounts({tallies})"
 
 
-@dataclass
 class Trace:
     """Optional instrumentation carrier for sign/verify calls.
 
@@ -36,12 +40,13 @@ class Trace:
     and the cost model — never hand one production data.
     """
 
-    counts: OpCounts = field(default_factory=OpCounts)
-    nonces: "list[int]" = field(default_factory=list)
-    points: list = field(default_factory=list)
-    r_values: "list[int]" = field(default_factory=list)
-    retries: int = 0
-    restarts: int = 0
+    def __init__(self):
+        self.counts = OpCounts()
+        self.nonces: "list[int]" = []
+        self.points: list = []
+        self.r_values: "list[int]" = []
+        self.retries = 0
+        self.restarts = 0
 
     @property
     def retried(self) -> bool:

@@ -20,7 +20,7 @@ exclusive access; reading is freely concurrent.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from mecdsa._hex import hex_to_int, int_to_hex
 from mecdsa.curve import (
@@ -79,10 +79,7 @@ _BUILTINS = (
 _CONFIG_KEYS = ("name", "p", "a", "b", "base", "n", "h", "strict")
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    params: CurveParams
-    source: str
+RegistryEntry = namedtuple("RegistryEntry", "params source")
 
 
 _BUILTIN_ENTRIES = {
@@ -146,7 +143,7 @@ def parse_curve_config(text: str) -> "tuple[CurveParams, bool]":
         raise FormatError(str(exc)) from None
     if base.is_infinity:
         raise FormatError("base point must not be the identity")
-    return replace(shell, gx=base.x, gy=base.y), strict
+    return CurveParams(name, p, a, b, base.x, base.y, n, h), strict
 
 
 def format_curve_config(c: CurveParams) -> str:

@@ -31,21 +31,27 @@ def toy_file(workdir):
     return str(path)
 
 
-def run_cli_process(*args, timeout=60):
-    """Run ``python -m mecdsa.cli`` in a fresh interpreter; a run longer
-    than ``timeout`` seconds fails the test instead of stalling the suite."""
+def run_python(*args, timeout=60):
+    """Run ``python *args`` in a fresh interpreter that imports this
+    package; a run longer than ``timeout`` seconds fails the test instead
+    of stalling the suite."""
     import mecdsa
 
     env = dict(os.environ)
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(mecdsa.__file__)))
     env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "mecdsa.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=timeout,
     )
+
+
+def run_cli_process(*args, timeout=60):
+    """Run ``python -m mecdsa.cli *args`` in a fresh interpreter."""
+    return run_python("-m", "mecdsa.cli", *args, timeout=timeout)
 
 
 def keygen_toy(workdir, toy_file, seed="a5"):
@@ -568,6 +574,30 @@ def test_bench_counts_match_and_report(workdir, capsys):
     # the whole report is frozen: counts, matches, retry flags and lengths
     assert main(["bench", "--length-samples", "2", "--seed", "05"]) == 0
     assert capsys.readouterr().out == golden("bench_seed05.txt")
+
+
+def test_cli_import_leaves_out_what_only_bench_needs():
+    # every sign and verify process pays for what importing the CLI
+    # loads; the bench is imported by its own command alone, and the value
+    # types need neither dataclasses nor the inspect module behind it
+    script = (
+        "import sys; before = set(sys.modules); import mecdsa.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'mecdsa.bench'} "
+        "& (set(sys.modules) - before)))"
+    )
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_bench_in_a_fresh_process_matches_in_process(workdir, capsys):
+    # the bench module is imported inside its command, so a fresh
+    # interpreter, which has not loaded it, must print the same report
+    argv = ["bench", "--length-samples", "1", "--seed", "01"]
+    result = run_cli_process(*argv)
+    assert result.returncode == main(argv) == 0, result.stderr
+    assert result.stdout == capsys.readouterr().out
+    assert "mecdsa.sign.match = true" in result.stdout
 
 
 def test_bench_toy_retry_report_is_frozen(workdir, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -32,10 +31,26 @@ def as_pt(raw):
 
 def test_point_constructor_contract():
     assert Point().is_infinity
-    with pytest.raises(ValueError):
-        Point(3, None)
-    with pytest.raises(ValueError):
-        Point(-1, 2)
+    assert Point(x=5, y=1) == Point(5, 1)
+    # a named tuple: equal to the plain tuple of its coordinates
+    assert Point(5, 1) == (5, 1) and Point() == (None, None)
+    for x, y in ((3, None), (None, 3)):
+        with pytest.raises(ValueError, match="both coordinates or neither"):
+            Point(x=x, y=y)
+    for x, y in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="coordinates must be non-negative"):
+            Point(x, y)
+
+
+def test_curve_params_constructor_contract():
+    fields = dict(name="test17", p=17, a=2, b=2, gx=5, gy=1, n=19, h=1)
+    assert CurveParams(**fields) == CurveParams(*fields.values()) == TEST17
+    for p in (0, 1):
+        with pytest.raises(ValueError, match="field modulus must be >= 2"):
+            CurveParams(**{**fields, "p": p})
+    for label in ("a", "b", "gx", "gy", "n", "h"):
+        with pytest.raises(ValueError, match=f"parameter {label} must be non-negative"):
+            CurveParams(**{**fields, label: -1})
 
 
 def test_infinity_is_on_every_curve():
@@ -226,7 +241,7 @@ def test_validate_refuses_coefficient_outside_the_field(coeff):
     # a + p and b + p give the same curve equation, so only this check
     # notices them.
     c = default_registry().get("secp256k1")
-    shifted = dataclasses.replace(c, **{coeff: getattr(c, coeff) + c.p})
+    shifted = CurveParams(**{**c._asdict(), coeff: getattr(c, coeff) + c.p})
     report = validate_curve_params(shifted, strict=True)
     assert {chk.name for chk in report.failures()} == {"coefficients-in-field"}
 

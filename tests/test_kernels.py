@@ -76,23 +76,25 @@ def test_point_add_matches_chord_tangent_on_full_toy_table(c):
 
 
 def test_two_torsion_chains():
-    # y^2 = x^3 - x over F_23 has 24 points, three of them (y = 0) of
-    # order two; the joint pass adds each to every point of the curve.
-    # Its table of odd multiples holds P throughout, as 2P = O.
-    p, a = 23, 22
-    points = enum_points(a, 0, p)
-    assert len(points) == 24
-    for x0 in (0, 1, 22):
-        for k in range(0, 41):
-            want = repeated_add(k, (x0, 0), a, p)
-            assert _kernels.scalar_mul(k, (x0, 0), a, p) == want
-            assert want == (None if k % 2 == 0 else (x0, 0))
-        for q in points:
-            for u in range(0, 4):
-                for v in range(0, 25):
-                    want = _joint_oracle(u, (x0, 0), v, q, a, p, repeated_add)
-                    got = _kernels.double_scalar_mul(u, (x0, 0), v, q, a, p)
-                    assert got == want, (x0, q, u, v)
+    # y^2 = x^3 - x and y^2 = x^3 - 3x (a = p - 3, 7^2 = 3) over F_23 have
+    # 24 points each, three of them (y = 0) of order two; the joint pass
+    # adds each to every point of the curve.  Its table of odd multiples
+    # holds P throughout, as 2P = O.
+    p = 23
+    for a, roots in ((22, (0, 1, 22)), (20, (0, 7, 16))):
+        points = enum_points(a, 0, p)
+        assert len(points) == 24
+        for x0 in roots:
+            for k in range(0, 41):
+                want = repeated_add(k, (x0, 0), a, p)
+                assert _kernels.scalar_mul(k, (x0, 0), a, p) == want
+                assert want == (None if k % 2 == 0 else (x0, 0))
+            for q in points:
+                for u in range(0, 4):
+                    for v in range(0, 25):
+                        want = _joint_oracle(u, (x0, 0), v, q, a, p, repeated_add)
+                        got = _kernels.double_scalar_mul(u, (x0, 0), v, q, a, p)
+                        assert got == want, (a, x0, q, u, v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,7 +103,9 @@ def test_kernels_match_oracles_on_random_small_curves(data):
     # a random curve's order is rarely prime, so its points include ones
     # of small order, which the prime-order toys lack
     p = data.draw(st.sampled_from(SMALL_PRIMES))
-    a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    # a = 0 and a = p - 3 take their own doubling formulas
+    a = data.draw(st.sampled_from((0, p - 3)) | st.integers(0, p - 1))
+    b = data.draw(st.integers(0, p - 1))
     assume((4 * a**3 + 27 * b**2) % p != 0)
     points = enum_points(a, b, p)
     p1, p2 = data.draw(st.sampled_from(points)), data.draw(st.sampled_from(points))

@@ -1,10 +1,9 @@
-import dataclasses
 import random
 
 import pytest
 
 from mecdsa import curve
-from mecdsa.curve import Point, is_on_curve, scalar_mul
+from mecdsa.curve import CurveParams, Point, is_on_curve, scalar_mul
 from mecdsa.ecdsa import ListNonceSource, SeededNonceSource
 from mecdsa.errors import NonceExhaustedError
 from mecdsa.multi import (
@@ -35,8 +34,47 @@ def toy_keypair(config, ds):
 
 
 def test_config_requires_at_least_one_curve():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one curve"):
         MultiCurveConfig(())
+    with pytest.raises(ValueError, match="at least one curve"):
+        MultiCurveConfig(curves=iter(()))
+    # any iterable of curves is kept as a tuple
+    assert MultiCurveConfig(curves=[TEST17, TOY23]).curves == (TEST17, TOY23)
+
+
+def test_keypair_lists_must_align_with_the_config():
+    config = MultiCurveConfig((TEST17, TOY23))
+    q = (TEST17.base, TOY23.base)
+    keypair = MultiCurveKeypair(config=config, d=(1, 1), q=q)
+    assert keypair == MultiCurveKeypair(config, (1, 1), q)
+    for d, qs in (((1,), q), ((1, 1), q[:1]), ((1, 1, 1), q + q[:1])):
+        with pytest.raises(ValueError, match="must align with the config"):
+            MultiCurveKeypair(config, d, qs)
+
+
+VALUES = {
+    "Point": lambda: Point(5, 1),
+    "CurveParams": lambda: CurveParams(
+        name="test17", p=17, a=2, b=2, gx=5, gy=1, n=19, h=1
+    ),
+    "MultiCurveConfig": lambda: MultiCurveConfig(curves=(TEST17, TOY23)),
+    "MultiCurveKeypair": lambda: MultiCurveKeypair(
+        config=MultiCurveConfig((TEST17,)), d=(1,), q=(TEST17.base,)
+    ),
+    "MultiSignature": lambda: MultiSignature(r=3, s=(4, 5)),
+}
+
+
+@pytest.mark.parametrize("kind", VALUES)
+def test_value_types_are_immutable_and_compare_by_value(kind):
+    one, other = VALUES[kind](), VALUES[kind]()
+    assert one is not other
+    assert one == other and hash(one) == hash(other)
+    # neither a field nor a new attribute can be set
+    for attr in (*one._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(one, attr, 0)
+    assert one == other
 
 
 def test_mkeygen_unit_scalars_give_base_points():
@@ -349,7 +387,7 @@ def test_base_tables_are_never_shared_between_curves(first):
     # gy, the name included.  Each signature verifies under its own curve
     # only, whichever curve's tables the cache builds first.
     g2 = chord_tangent_add((TOY43.gx, TOY43.gy), (TOY43.gx, TOY43.gy), TOY43.a, TOY43.p)
-    curves = (TOY43, dataclasses.replace(TOY43, gx=g2[0], gy=g2[1]))
+    curves = (TOY43, CurveParams(**{**TOY43._asdict(), "gx": g2[0], "gy": g2[1]}))
     assert curves[0].name == curves[1].name and curves[0] != curves[1]
     signed = []
     for c in curves:
