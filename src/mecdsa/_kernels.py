@@ -6,9 +6,9 @@ to Elliptic Curve Cryptography*, 3.2.2).  A multiply is a sum of k*P
 terms, each with a table of P's odd multiples, and one pass over their
 width-w NAF digits (3.3.1 and 3.3.3): one doubling per digit position
 and one mixed addition per nonzero digit.  A fresh table costs one
-doubling and 2^(w-2) - 1 additions; one simultaneous inversion
-(Montgomery 1987) takes every 2P to affine and one more every table, and
-a third returns the sum, so a multiply pays three at any scalar length.
+doubling, 2^(w-2) - 1 additions and two inversions, one for 2P and one
+simultaneous inversion (Montgomery 1987) for the whole table; a third
+returns the sum, so a multiply pays three at any scalar length.
 The affine chord-and-tangent law lives only in the test oracles, as the
 reference.
 
@@ -107,26 +107,24 @@ def _wnaf(k, w):
     return out
 
 
-def odd_multiples(points, w, a, p):
-    """Affine tables [P, 3P, ..., (2^(w-1) - 1)*P] of 2^(w-2) entries, one
-    per affine point (or None), for w >= 2.
+def odd_multiples(pt, w, a, p):
+    """Affine table [P, 3P, ..., (2^(w-1) - 1)*P] of 2^(w-2) entries of
+    the affine point P, or of None entries when P is None, for w >= 2.
 
-    Each entry is the one before plus 2P, one mixed addition; one batch
-    inversion takes every 2P to affine first and one more every table.
+    Each entry is the one before plus 2P, one mixed addition; one
+    inversion takes 2P to affine first and one more the table.
     """
-    twos = _to_affine(
-        [(1, 1, 0) if pt is None else _jac_double((*pt, 1), a, p) for pt in points], p
-    )
-    size, entries = 1 << (w - 2), []
-    for pt, two in zip(points, twos):
-        entry = (1, 1, 0) if pt is None else (*pt, 1)
+    size = 1 << (w - 2)
+    if pt is None:
+        return [None] * size
+    (two,) = _to_affine([_jac_double((*pt, 1), a, p)], p)
+    entry = (*pt, 1)
+    entries = [entry]
+    for _ in range(size - 1):
+        if two is not None:
+            entry = _jac_add_affine(entry, two, a, p)
         entries.append(entry)
-        for _ in range(size - 1):
-            if two is not None:
-                entry = _jac_add_affine(entry, two, a, p)
-            entries.append(entry)
-    entries = _to_affine(entries, p)
-    return [entries[i : i + size] for i in range(0, len(entries), size)]
+    return _to_affine(entries, p)
 
 
 def wnaf_sum(terms, a, p):
@@ -164,19 +162,9 @@ def wnaf_sum(terms, a, p):
 FRESH_W = 5
 
 
-def _fresh(pairs, a, p):
-    if any(k < 0 for k, _ in pairs):
-        raise ValueError("scalars must be non-negative")
-    tables = odd_multiples([pt for _, pt in pairs], FRESH_W, a, p)
-    return wnaf_sum(zip((k for k, _ in pairs), tables), a, p)
-
-
-def double_scalar_mul(u, p1, v, p2, a, p):
-    """u*p1 + v*p2, u, v >= 0 and not reduced, so order checks like n*P
-    work: fresh tables of both points, then one joint pass."""
-    return _fresh(((u, p1), (v, p2)), a, p)
-
-
 def scalar_mul(k, pt, a, p):
-    """k-fold group sum of pt, k >= 0 and not reduced."""
-    return _fresh(((k, pt),), a, p)
+    """k-fold group sum of pt, k >= 0 and not reduced, so order checks
+    like n*P work: a fresh table of pt, then one pass."""
+    if k < 0:
+        raise ValueError("scalars must be non-negative")
+    return wnaf_sum(((k, odd_multiples(pt, FRESH_W, a, p)),), a, p)

@@ -207,9 +207,15 @@ def _cmd_keygen(args):
 
 
 def _cmd_sign(args):
+    # the signature would overwrite the key, and d be lost, or the message
+    message_path = getattr(args, "in")
+    if _same_file(args.out, args.key):
+        raise FormatError("--out and --key are the same file")
+    if message_path != "-" and _same_file(args.out, message_path):
+        raise FormatError("--out and --in are the same file")
     registry = _build_registry(args.curve_file)
     config, keypair, _ = _load_key_file(args.key, registry, need_secret=True)
-    message = _read_message(getattr(args, "in"))
+    message = _read_message(message_path)
     nonces = _nonce_source(args)
     names = ",".join(c.name for c in config.curves)
     if args.scheme == "mecdsa":

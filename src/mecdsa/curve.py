@@ -8,7 +8,7 @@ signed-window pass serves every multiply: ``scalar_mul`` computes k*P
 from a fresh table of P, and ``double_scalar_mul_base`` the verifier's
 u*G + v*Q, with the tables of the base point G cached per curve and, on
 curves that admit it, the GLV endomorphism halving the doublings.
-``point_add`` is one mixed addition.
+``point_add`` is the same pass over two one-entry tables.
 
 Points are checked once, where they enter.  The group law, the
 multiplies and the encoders take points known to be on the curve: a
@@ -104,12 +104,9 @@ def _raw(pt: Point):
 
 
 def point_add(pt: Point, other: Point, c: CurveParams) -> Point:
-    """Group law: one mixed Jacobian addition and one inversion."""
-    if other.is_infinity:
-        return pt
-    acc = (1, 1, 0) if pt.is_infinity else (pt.x, pt.y, 1)
-    raw = _kernels._jac_add_affine(acc, _raw(other), c.a, c.p)
-    return _wrap(_kernels._to_affine([raw], c.p)[0])
+    """Group law: 1*pt + 1*other, one pass over two one-entry tables."""
+    terms = ((1, (_raw(pt),)), (1, (_raw(other),)))
+    return _wrap(_kernels.wnaf_sum(terms, c.a, c.p))
 
 
 def scalar_mul(k: int, pt: Point, c: CurveParams) -> Point:
@@ -203,7 +200,7 @@ def _base_terms(c: CurveParams):
     but not a base point never share a table.
     """
     glv = _glv(c)
-    (table,) = _kernels.odd_multiples([(c.gx, c.gy)], _BASE_W, c.a, c.p)
+    table = _kernels.odd_multiples((c.gx, c.gy), _BASE_W, c.a, c.p)
     if glv is None:
         return None, (table,)
     return glv, (table, _phi(table, glv[0], c.p))
@@ -220,7 +217,7 @@ def double_scalar_mul_base(u: int, v: int, other: Point, c: CurveParams) -> Poin
     if not (0 <= u < c.n and 0 <= v < c.n):
         raise ValueError("scalars must lie in [0, n - 1]")
     glv, g_tables = _base_terms(c)
-    (q_table,) = _kernels.odd_multiples([_raw(other)], _kernels.FRESH_W, c.a, c.p)
+    q_table = _kernels.odd_multiples(_raw(other), _kernels.FRESH_W, c.a, c.p)
     if glv is None:
         terms = zip((u, v), (*g_tables, q_table))
     else:

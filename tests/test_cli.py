@@ -570,6 +570,26 @@ def test_keygen_refuses_one_file_for_both_keys(workdir, capsys, public_out):
     assert not (workdir / "new").exists()
 
 
+@pytest.mark.parametrize(
+    "out", ["{}", "./{}", "symlink", "hardlink"], ids=["same", "dot", "symlink", "hardlink"]
+)
+@pytest.mark.parametrize("flag, target", [("--key", "key.sec"), ("--in", "msg.bin")])
+def test_sign_refuses_an_out_file_it_reads(workdir, toy_file, capsys, flag, target, out):
+    # a signature written over the key file would leave no copy of d
+    keygen_toy(workdir, toy_file)
+    (workdir / "msg.bin").write_bytes(b"hello\n")
+    os.symlink(target, workdir / "symlink")
+    os.link(workdir / target, workdir / "hardlink")
+    before = {name: (workdir / name).read_bytes() for name in ("key.sec", "msg.bin")}
+    capsys.readouterr()
+    argv = ["sign", "--key", "key.sec", "--in", "msg.bin", "--out", out.format(target)]
+    assert main([*argv, "--curve-file", toy_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out and {flag} are the same file\n"
+    assert captured.out == ""
+    assert {name: (workdir / name).read_bytes() for name in before} == before
+
+
 def test_bench_counts_match_and_report(workdir, capsys):
     # the whole report is frozen: counts, matches, retry flags and lengths
     assert main(["bench", "--length-samples", "2", "--seed", "05"]) == 0

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mecdsa import _kernels, curve
-from mecdsa.curve import Point, scalar_mul
+from mecdsa.curve import CurveParams, Point, scalar_mul
 from mecdsa.registry import default_registry
 
 from .conftest import TEST17, TOY23, TOY23M3, TOY43
@@ -30,14 +30,24 @@ TOYS = (TEST17, TOY23, TOY43, TOY23M3)
 SMALL_PRIMES = [q for q in range(5, 256) if all(q % f for f in range(2, q))]
 
 
+def _pair(u, p1, v, p2, a, p):
+    """u*p1 + v*p2 from a fresh table of each point and one joint pass."""
+    tables = (_kernels.odd_multiples(pt, _kernels.FRESH_W, a, p) for pt in (p1, p2))
+    return _kernels.wnaf_sum(zip((u, v), tables), a, p)
+
+
 def _joint_oracle(u, p1, v, p2, a, p, mul):
     """u*p1 + v*p2 from the oracles' own multiply and addition."""
     return chord_tangent_add(mul(u, p1, a, p), mul(v, p2, a, p), a, p)
 
 
+def _point(raw):
+    return Point() if raw is None else Point(*raw)
+
+
 def _base_form(u, v, q, c):
     """curve's u*G + v*Q from its cached G tables, as a raw tuple."""
-    got = curve.double_scalar_mul_base(u, v, Point() if q is None else Point(*q), c)
+    got = curve.double_scalar_mul_base(u, v, _point(q), c)
     return None if got.is_infinity else (got.x, got.y)
 
 
@@ -71,8 +81,9 @@ def test_point_add_matches_chord_tangent_on_full_toy_table(c):
     points = enum_points(c.a, c.b, c.p)
     for p1 in points:
         for p2 in points:
-            got = _kernels.double_scalar_mul(1, p1, 1, p2, c.a, c.p)
-            assert got == chord_tangent_add(p1, p2, c.a, c.p), (c.name, p1, p2)
+            got = curve.point_add(_point(p1), _point(p2), c)
+            want = chord_tangent_add(p1, p2, c.a, c.p)
+            assert got == _point(want), (c.name, p1, p2)
 
 
 def test_two_torsion_chains():
@@ -93,7 +104,7 @@ def test_two_torsion_chains():
                 for u in range(0, 4):
                     for v in range(0, 25):
                         want = _joint_oracle(u, (x0, 0), v, q, a, p, repeated_add)
-                        got = _kernels.double_scalar_mul(u, (x0, 0), v, q, a, p)
+                        got = _pair(u, (x0, 0), v, q, a, p)
                         assert got == want, (a, x0, q, u, v)
 
 
@@ -114,7 +125,11 @@ def test_kernels_match_oracles_on_random_small_curves(data):
     up1 = repeated_add(u, p1, a, p)
     assert _kernels.scalar_mul(u, p1, a, p) == up1
     want = chord_tangent_add(up1, repeated_add(v, p2, a, p), a, p)
-    assert _kernels.double_scalar_mul(u, p1, v, p2, a, p) == want
+    assert _pair(u, p1, v, p2, a, p) == want
+    # point_add reads only a and p of its curve
+    c = CurveParams("random", p, a, b, 0, 0, 1, 1)
+    got = curve.point_add(_point(p1), _point(p2), c)
+    assert got == _point(chord_tangent_add(p1, p2, a, p))
 
 
 def test_scalar_mul_rejects_negative_scalars():
@@ -122,9 +137,6 @@ def test_scalar_mul_rejects_negative_scalars():
     g = (c.gx, c.gy)
     with pytest.raises(ValueError):
         _kernels.scalar_mul(-1, g, c.a, c.p)
-    for u, v in ((-1, 1), (1, -1), (-1, 0), (0, -1)):
-        with pytest.raises(ValueError):
-            _kernels.double_scalar_mul(u, g, v, g, c.a, c.p)
     for u, v in ((-1, 1), (1, -1), (c.n, 1), (1, c.n)):
         with pytest.raises(ValueError):
             curve.double_scalar_mul_base(u, v, c.base, c)
@@ -144,7 +156,7 @@ def test_double_scalar_mul_matches_oracle_for_every_toy_q_and_scalar_pair(c):
         for u, ug in enumerate(g_mults):
             for v, vq in enumerate(q_mults):
                 want = chord_tangent_add(ug, vq, c.a, c.p)
-                got = _kernels.double_scalar_mul(u, g, v, q, c.a, c.p)
+                got = _pair(u, g, v, q, c.a, c.p)
                 assert got == want, (c.name, q, u, v)
                 if u < c.n and v < c.n:
                     assert _base_form(u, v, q, c) == want, (c.name, q, u, v)
@@ -187,7 +199,7 @@ def test_double_scalar_mul_matches_affine_ladder_on_builtins():
         pairs += [(e1, e2) for e1 in edges for e2 in edges]
         for u, v in pairs:
             want = _joint_oracle(u, g, v, q, c.a, c.p, affine_ladder)
-            assert _kernels.double_scalar_mul(u, g, v, q, c.a, c.p) == want, (name, u, v)
+            assert _pair(u, g, v, q, c.a, c.p) == want, (name, u, v)
             assert _base_form(u, v, q, c) == want, (name, u, v)
 
 
@@ -234,23 +246,21 @@ def test_group_law_does_not_count_as_scheme_inversions(monkeypatch):
     monkeypatch.setattr(_kernels, "mod_inv", counting)
     c = TEST17
     g = (c.gx, c.gy)
-    g2 = _kernels.double_scalar_mul(1, g, 1, g, c.a, c.p)
+    g2 = _pair(1, g, 1, g, c.a, c.p)
     assert g2 == chord_tangent_add(g, g, c.a, c.p)
-    g3 = _kernels.double_scalar_mul(1, g, 1, g2, c.a, c.p)
+    g3 = _pair(1, g, 1, g2, c.a, c.p)
     assert g3 == chord_tangent_add(g, g2, c.a, c.p)
     assert _kernels.scalar_mul(5, g, c.a, c.p) == repeated_add(5, g, c.a, c.p)
-    assert _kernels.double_scalar_mul(5, g, 6, g2, c.a, c.p) == repeated_add(
-        17, g, c.a, c.p
-    )
+    assert _pair(5, g, 6, g2, c.a, c.p) == repeated_add(17, g, c.a, c.p)
     assert calls == []
 
 
 @pytest.mark.parametrize("name", ["secp256k1", "p256"])
 def test_ladder_inversions_do_not_grow_with_the_scalar(name, monkeypatch):
-    # One batch inversion takes every 2P of the fresh tables to affine, one
-    # the tables, and one the sum, at any scalar length; an affine group
-    # law would pay one per group operation.  The base form builds only
-    # Q's table, so it pays 3 as well once G's tables are cached.
+    # One inversion takes 2P of the fresh table to affine, one the table,
+    # and one the sum, at any scalar length; an affine group law would pay
+    # one per group operation.  The base form builds only Q's table, so it
+    # pays 3 as well once G's tables are cached.
     c = default_registry().get(name)
     g = (c.gx, c.gy)
     rnd = random.Random(20)
@@ -264,19 +274,16 @@ def test_ladder_inversions_do_not_grow_with_the_scalar(name, monkeypatch):
         return original(a, m)
 
     monkeypatch.setattr(_kernels, "_inv", counting)
-    single, joint, base = set(), set(), set()
+    single, base = set(), set()
     for bits in (2, 64, 256):
         k, v = (rnd.getrandbits(bits) | 1 << (bits - 1) for _ in range(2))
         calls.clear()
         _kernels.scalar_mul(k, g, c.a, c.p)
         single.add(len(calls))
         calls.clear()
-        _kernels.double_scalar_mul(k, g, v, q, c.a, c.p)
-        joint.add(len(calls))
-        calls.clear()
         _base_form(k % c.n, v % c.n, q, c)
         base.add(len(calls))
-    assert single == joint == base == {3}, (single, joint, base)
+    assert single == base == {3}, (single, base)
 
 
 @pytest.mark.parametrize("name", ["secp256k1", "p256"])
@@ -316,15 +323,11 @@ def test_ladder_group_operations_follow_closed_forms(name, monkeypatch):
     assert [len(table) for table in g_tables] == [32] * len(g_tables)
     # all-zero scalars have no digits, so this is the tables alone
     assert cost(_kernels.scalar_mul, 0, g, c.a, c.p) == (1, 7, 3)
-    assert cost(_kernels.double_scalar_mul, 0, g, 0, q, c.a, c.p) == (2, 14, 3)
     assert cost(_base_form, 0, 0, q, c) == (1, 7, 3)
     for bits in (1, 2, 3, 5, 8, 64, 255, 256, 256, 256):
         k, v = (rnd.getrandbits(bits) | 1 << (bits - 1) for _ in range(2))
         positions, nonzero = digits((k, 5))
         assert cost(_kernels.scalar_mul, k, g, c.a, c.p) == (1 + positions, 7 + nonzero, 3)
-        positions, nonzero = digits((k, 5), (v, 5))
-        want = (2 + positions, 14 + nonzero, 3)
-        assert cost(_kernels.double_scalar_mul, k, g, v, q, c.a, c.p) == want, (bits, k, v)
         u, v = k % c.n, v % c.n
         if glv is None:
             terms = ((u, 7), (v, 5))

@@ -32,3 +32,46 @@ def test_every_source_parses_as_the_floor_version():
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             ast.parse(fh.read(), filename=path, feature_version=_FLOOR)
+
+
+def _referenced_names(node):
+    """Names that node refers to: plain names, attributes, import aliases
+    and string constants, the way ``perfbench/tracer.py`` binds by name."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def test_every_public_definition_has_a_caller_in_the_project():
+    # no public API that the library itself does not use: every top-level
+    # public def or class of the package is named somewhere in src or
+    # perfbench other than in its own body
+    statements = []
+    for path in _sources():
+        rel = os.path.relpath(path, _ROOT)
+        if rel.startswith(("src", "perfbench")):
+            with open(path, encoding="utf-8") as fh:
+                statements += [(rel, stmt) for stmt in ast.parse(fh.read()).body]
+    uses = [(stmt, _referenced_names(stmt)) for _, stmt in statements]
+    public = [
+        (rel, stmt)
+        for rel, stmt in statements
+        if rel.startswith(os.path.join("src", "mecdsa"))
+        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+    ]
+    assert "point_add" in {stmt.name for _, stmt in public}
+    unused = [
+        (rel, stmt.name)
+        for rel, stmt in public
+        if not any(stmt.name in names for other, names in uses if other is not stmt)
+    ]
+    assert unused == []
