@@ -154,8 +154,6 @@ def _load_key_file(path, registry, need_secret):
             raise FormatError("q list does not match curve list")
         publics = tuple(decode_point(q, c) for q, c in zip(q_texts, config.curves))
         for c, q in zip(config.curves, publics):
-            if q.is_infinity:
-                raise FormatError(f"public point on {c.name} is the identity")
             if c.h != 1 and not curve.scalar_mul(c.n, q, c).is_infinity:
                 raise FormatError(f"public point on {c.name} is not of order n")
         if not need_secret:
@@ -182,7 +180,15 @@ def _same_file(a, b) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _refuse_dash(flag, path):
+    # "-" is standard input, for --in only; an output is always a file
+    if path == "-":
+        raise FormatError(f"{flag} must name a file; - stands for stdin in --in only")
+
+
 def _cmd_keygen(args):
+    _refuse_dash("--secret-out", args.secret_out)
+    _refuse_dash("--public-out", args.public_out)
     # the public document would overwrite the secret one, and d be lost
     if _same_file(args.secret_out, args.public_out):
         raise FormatError("--secret-out and --public-out are the same file")
@@ -207,6 +213,7 @@ def _cmd_keygen(args):
 
 
 def _cmd_sign(args):
+    _refuse_dash("--out", args.out)
     # the signature would overwrite the key, and d be lost, or the message
     message_path = getattr(args, "in")
     if _same_file(args.out, args.key):

@@ -259,18 +259,16 @@ def compress_point(pt: Point, c: CurveParams) -> bytes:
 
 
 def encode_point(pt: Point, c: CurveParams) -> str:
-    """Text form: "inf", or 04 | x | y as fixed-width lowercase hex.  The
-    compressed text form is ``compress_point(pt, c).hex()``."""
+    """Text form: 04 | x | y as fixed-width lowercase hex, none for the
+    identity.  The compressed text form is ``compress_point(pt, c).hex()``."""
     if pt.is_infinity:
-        return "inf"
+        raise InvalidPointError("the identity has no text form")
     w = c.coord_bytes
     return (b"\x04" + pt.x.to_bytes(w, "big") + pt.y.to_bytes(w, "big")).hex()
 
 
 def decode_point(text: str, c: CurveParams) -> Point:
-    """Inverse of encode_point; the decoded point is checked on-curve."""
-    if text == "inf":
-        return INFINITY
+    """Inverse of both text forms; the point is checked on-curve."""
     try:
         blob = bytes.fromhex(text)
     except ValueError:

@@ -99,12 +99,3 @@ class ListNonceSource(NonceSource):
             raise NonceRangeError(f"nonce {k} outside [1, {order - 1}]")
         return k
 
-
-__all__ = [
-    "ListNonceSource",
-    "NonceExhaustedError",
-    "NonceSource",
-    "SeededNonceSource",
-    "SystemNonceSource",
-    "hash_to_int",
-]

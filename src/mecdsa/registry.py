@@ -141,8 +141,6 @@ def parse_curve_config(text: str) -> "tuple[CurveParams, bool]":
         base = decode_point(kv["base"], shell)
     except ValueError as exc:  # p < 2, or a square root modulo a composite p
         raise FormatError(str(exc)) from None
-    if base.is_infinity:
-        raise FormatError("base point must not be the identity")
     return CurveParams(name, p, a, b, base.x, base.y, n, h), strict
 
 

@@ -222,13 +222,13 @@ def test_tampered_secret_scalar_exits_2(workdir, toy_file):
 
 
 def test_identity_public_point_in_secret_file_exits_2(workdir, toy_file, capsys):
-    # d = 0 with q = O passes the d*P = q check, so q must be refused itself
+    # d = 0 with q = O would pass the d*P = q check, but no text decodes to O
     (workdir / "key.sec").write_text("version = 1\ncurves = test17\nd = 0\nq = inf\n")
     (workdir / "m.bin").write_bytes(b"m")
     sign = ["sign", "--key", "key.sec", "--in", "m.bin", "--out", "m.sig"]
     assert main([*sign, "--seed", "3", "--curve-file", toy_file]) == 2
     err = capsys.readouterr().err
-    assert err == "error: key.sec: public point on test17 is the identity\n"
+    assert err == "error: key.sec: not a hex point encoding: 'inf'\n"
     assert not (workdir / "m.sig").exists()
 
 
@@ -249,7 +249,7 @@ def test_identity_public_point_in_public_file_exits_2(workdir, toy_file, capsys)
     code, captured = verify_with_public_q(workdir, toy_file, capsys, "inf")
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: key.pub: public point on test17 is the identity\n"
+    assert captured.err == "error: key.pub: not a hex point encoding: 'inf'\n"
 
 
 def test_off_curve_public_point_in_public_file_exits_2(workdir, toy_file, capsys):
@@ -588,6 +588,31 @@ def test_sign_refuses_an_out_file_it_reads(workdir, toy_file, capsys, flag, targ
     assert captured.err == f"error: --out and {flag} are the same file\n"
     assert captured.out == ""
     assert {name: (workdir / name).read_bytes() for name in before} == before
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["keygen", "--secret-out", "-"], "--secret-out"),
+        (["keygen", "--public-out", "-"], "--public-out"),
+        (["sign", "--key", "key.sec", "--in", "-", "--out", "-"], "--out"),
+        (["sign", "--key", "key.sec", "--in", "msg.bin", "--out", "-"], "--out"),
+    ],
+    ids=["secret-out", "public-out", "sign-stdin", "sign-file"],
+)
+def test_dash_is_no_output_file(workdir, toy_file, capsys, monkeypatch, argv, flag):
+    # "-" is standard input, for --in only; no file named "-" may appear
+    keygen_toy(workdir, toy_file)
+    (workdir / "msg.bin").write_bytes(b"hello\n")
+    monkeypatch.setattr("sys.stdin", None)  # nothing is read before the refusal
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    capsys.readouterr()
+    assert main([*argv, "--seed", "1", "--curve-file", toy_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must name a file; - stands for stdin in --in only\n"
+    assert captured.out == ""
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+    assert not (workdir / "-").exists()
 
 
 def test_bench_counts_match_and_report(workdir, capsys):

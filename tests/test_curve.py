@@ -196,8 +196,11 @@ def test_point_text_encoding_roundtrip():
     c = default_registry().get("secp256k1")
     for text in (compress_point(c.base, c).hex(), encode_point(c.base, c)):
         assert decode_point(text, c) == c.base
-    assert decode_point("inf", c) == INFINITY
-    assert encode_point(INFINITY, c) == "inf"
+    # the identity has no text form, either way
+    with pytest.raises(FormatError, match="^not a hex point encoding: 'inf'$"):
+        decode_point("inf", c)
+    with pytest.raises(InvalidPointError, match="^the identity has no text form$"):
+        encode_point(INFINITY, c)
 
 
 def test_decode_point_rejects_garbage():
@@ -210,6 +213,27 @@ def test_decode_point_rejects_garbage():
     bad = "04" + format(1, "064x") + format(1, "064x")
     with pytest.raises(InvalidPointError):
         decode_point(bad, c)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty point encoding"),
+        ("05" + "00" * 32, "bad point prefix 0x05"),
+        ("02" + "ff" * 32, "x lies outside the field"),
+    ],
+    ids=["empty", "prefix", "x-above-p"],
+)
+def test_decode_point_refusals_name_their_cause(text, message):
+    c = default_registry().get("secp256k1")
+    with pytest.raises(FormatError) as err:
+        decode_point(text, c)
+    assert str(err.value) == message
+
+
+def test_compress_point_refuses_the_identity():
+    with pytest.raises(InvalidPointError, match="^the identity has no compressed form$"):
+        compress_point(INFINITY, TEST17)
 
 
 def test_validate_secp256k1_strict_all_pass():

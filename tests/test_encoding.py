@@ -66,6 +66,14 @@ def test_encode_rejects_negative_values():
         encode_multisig(MultiSignature(-1, (1,)))
 
 
+def test_encode_rejects_an_integer_above_the_length_prefix():
+    # a 2-byte length prefix holds at most 0xFFFF bytes
+    at_limit = MultiSignature(1 << (8 * 0xFFFF - 1), (1,))
+    assert decode_multisig(encode_multisig(at_limit)) == at_limit
+    with pytest.raises(FormatError, match="^integer too large for the wire format$"):
+        encode_multisig(MultiSignature(1 << (8 * 0xFFFF), (1,)))
+
+
 def test_decode_rejects_bad_version():
     blob = bytearray(encode_multisig(MultiSignature(5, (6,))))
     blob[0] = 0x02

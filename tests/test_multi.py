@@ -373,6 +373,18 @@ def test_t_ecdsa_permuted_components_refused(toy_pair_config):
     assert not t_ecdsa_verify(message, permuted, kp.q, toy_pair_config)
 
 
+def test_t_ecdsa_refuses_a_count_mismatch(toy_pair_config):
+    # a pair or a key too many or too few is refused, not zipped away
+    kp = toy_keypair(toy_pair_config, [4, 11])
+    message = b"count 0"
+    sig = t_ecdsa_sign(message, kp, ListNonceSource([8, 8]))
+    assert t_ecdsa_verify(message, sig, kp.q, toy_pair_config)
+    assert not t_ecdsa_verify(message, sig[:1], kp.q, toy_pair_config)
+    assert not t_ecdsa_verify(message, (*sig, sig[0]), kp.q, toy_pair_config)
+    assert not t_ecdsa_verify(message, sig, kp.q[:1], toy_pair_config)
+    assert not t_ecdsa_verify(message, sig, (*kp.q, kp.q[0]), toy_pair_config)
+
+
 def test_t_ecdsa_total_payload_is_twice_sum_of_order_bits(toy_pair_config):
     kp = toy_keypair(toy_pair_config, [4, 11])
     sig = t_ecdsa_sign(b"length 1", kp, ListNonceSource([8, 8]))

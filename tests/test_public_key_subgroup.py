@@ -8,7 +8,16 @@ public key outside <G>.
 """
 
 from mecdsa.cli import main
-from mecdsa.curve import CurveParams, Point, encode_point, validate_curve_params
+import pytest
+
+from mecdsa.curve import (
+    CurveParams,
+    Point,
+    decode_point,
+    encode_point,
+    validate_curve_params,
+)
+from mecdsa.errors import InvalidPointError
 from mecdsa.ecdsa import ListNonceSource
 from mecdsa.multi import MultiCurveConfig, MultiCurveKeypair, msign, mverify
 from mecdsa.registry import format_curve_config
@@ -79,3 +88,10 @@ def test_verify_command_refuses_a_key_file_outside_the_subgroup(
     capsys.readouterr()
     assert main(["verify", "--public", "key.pub", "--sig", "m.sig", *common]) == 2
     assert "not of order n" in capsys.readouterr().err
+
+
+def test_decode_point_refuses_the_odd_root_of_y_0():
+    # T's y is 0, the one root of x^3 + x + 4 at x = 60, and 0 is even
+    assert decode_point("02" + f"{T[0]:02x}", TOY211) == Point(*T)
+    with pytest.raises(InvalidPointError, match="^no root with the requested parity$"):
+        decode_point("03" + f"{T[0]:02x}", TOY211)

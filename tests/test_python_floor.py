@@ -75,3 +75,23 @@ def test_every_public_definition_has_a_caller_in_the_project():
         if not any(stmt.name in names for other, names in uses if other is not stmt)
     ]
     assert unused == []
+
+
+
+_PACKAGE = os.path.join(_ROOT, "src", "mecdsa")
+
+
+def test_package_root_holds_only_its_docstring():
+    # the modules are the API: each name has one home, its module
+    with open(os.path.join(_PACKAGE, "__init__.py"), encoding="utf-8") as fh:
+        body = ast.parse(fh.read()).body
+    assert len(body) == 1 and isinstance(body[0].value, ast.Constant)
+
+
+def test_no_module_defines_all():
+    for path in _sources():
+        if path.startswith(_PACKAGE):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            assert "__all__" not in names, path

@@ -222,6 +222,16 @@ def test_kv_parser_reports_line_numbers():
     assert "line 2" in str(err.value)
 
 
+def test_kv_parser_refuses_an_empty_key():
+    with pytest.raises(FormatError, match="^line 2: empty key$"):
+        parse_kv_lines("a = 1\n = 5\n")
+
+
+def test_parse_rejects_empty_name():
+    with pytest.raises(FormatError, match="^curve name must not be empty$"):
+        parse_curve_config(TEST17_CONFIG.replace("name = test17", "name ="))
+
+
 def test_custom_curves_resolve_after_loading(fresh_registry):
     fresh_registry.load_custom(TEST17_CONFIG)
     assert fresh_registry.get("test17") == TEST17
