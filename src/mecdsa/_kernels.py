@@ -1,5 +1,7 @@
-"""Group-law kernels: field inversion, tables of odd multiples, and one
-interleaved signed-window pass for every scalar multiply.
+"""Group-law kernels: field inversion, the Jacobian group law, tables of
+odd multiples, and one interleaved signed-window pass for every scalar
+multiply.  This module is mechanism only: which tables to build, at what
+window width, and which to cache is ``mecdsa.curve``'s policy.
 
 The group law is Jacobian only (Hankerson, Menezes and Vanstone, *Guide
 to Elliptic Curve Cryptography*, 3.2.2).  A multiply is a sum of k*P
@@ -155,16 +157,3 @@ def wnaf_sum(terms, a, p):
             acc = _jac_add_affine(acc, pt, a, p)
     return _to_affine([acc], p)[0]
 
-
-# Window width of the table a multiply builds for each of its points:
-# 8 entries, 1 doubling and 7 mixed additions, then about one addition per
-# 6 bits of scalar.
-FRESH_W = 5
-
-
-def scalar_mul(k, pt, a, p):
-    """k-fold group sum of pt, k >= 0 and not reduced, so order checks
-    like n*P work: a fresh table of pt, then one pass."""
-    if k < 0:
-        raise ValueError("scalars must be non-negative")
-    return wnaf_sum(((k, odd_multiples(pt, FRESH_W, a, p)),), a, p)

@@ -24,7 +24,7 @@ flag, never silently dropped.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from mecdsa.ecdsa import NonceSource, SeededNonceSource
 from mecdsa.multi import (
@@ -88,18 +88,13 @@ def formula_sig_bits(scheme: str, orders: "list[int]", tight: bool = False) -> i
     return max(lengths) + slack + sum(lengths)
 
 
-@dataclass
-class LengthReport:
-    """Formula bounds vs measured minimal payloads, in bits."""
-
-    t: int
-    mecdsa_formula_bits: int
-    mecdsa_tight_bits: int
-    tecdsa_formula_bits: int
-    mecdsa_measured_mean: float
-    mecdsa_measured_max: int
-    tecdsa_measured_mean: float
-    tecdsa_measured_max: int
+# Formula bounds vs measured minimal payloads, in bits.
+LengthReport = namedtuple(
+    "LengthReport",
+    "t mecdsa_formula_bits mecdsa_tight_bits tecdsa_formula_bits"
+    " mecdsa_measured_mean mecdsa_measured_max"
+    " tecdsa_measured_mean tecdsa_measured_max",
+)
 
 
 def _payload_bits(sig: MultiSignature) -> int:
@@ -139,15 +134,10 @@ def signature_length_report(
     )
 
 
-@dataclass
-class CostReport:
+class CostReport(namedtuple("CostReport", "scheme phase counted predicted retried")):
     """One scheme x phase cell of the comparison."""
 
-    scheme: str
-    phase: str
-    counted: OpCounts
-    predicted: OpCounts
-    retried: bool
+    __slots__ = ()
 
     @property
     def counts_match(self) -> bool:

@@ -125,6 +125,8 @@ def _nonce_source(args) -> NonceSource:
     nonces = getattr(args, "nonces", None)
     if nonces is not None:
         values = [hex_to_int(v.strip(), "nonce") for v in nonces.split(",")]
+        if getattr(args, "seed", None) is not None:
+            raise FormatError("--seed and --nonces cannot be used together")
         return ListNonceSource(values)
     if getattr(args, "seed", None) is not None:
         return SeededNonceSource(hex_to_int(args.seed, "seed"))
@@ -220,10 +222,10 @@ def _cmd_sign(args):
         raise FormatError("--out and --key are the same file")
     if message_path != "-" and _same_file(args.out, message_path):
         raise FormatError("--out and --in are the same file")
+    nonces = _nonce_source(args)
     registry = _build_registry(args.curve_file)
     config, keypair, _ = _load_key_file(args.key, registry, need_secret=True)
     message = _read_message(message_path)
-    nonces = _nonce_source(args)
     names = ",".join(c.name for c in config.curves)
     if args.scheme == "mecdsa":
         sig_text = encode_multisig(msign(message, keypair, nonces)).hex()

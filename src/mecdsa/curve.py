@@ -1,10 +1,11 @@
 """Short-Weierstrass curves: group law, scalar multiplication, point
 compression, text encodings, and parameter validation.
 
-Curve arithmetic delegates to ``mecdsa._kernels``, one plain-Python
-module; this module owns the typed surface.  Points here are affine, and
-the test suite checks the kernel against independent oracles.  One
-signed-window pass serves every multiply: ``scalar_mul`` computes k*P
+Curve arithmetic delegates the group law to ``mecdsa._kernels``, one
+plain-Python module; this module owns the typed surface and the multiply
+policy: every window width, the per-curve cache and GLV.  Points here are
+affine, and the test suite checks the kernel against independent oracles.
+One signed-window pass serves every multiply: ``scalar_mul`` computes k*P
 from a fresh table of P, and ``double_scalar_mul_base`` the verifier's
 u*G + v*Q, with the tables of the base point G cached per curve and, on
 curves that admit it, the GLV endomorphism halving the doublings.
@@ -109,14 +110,22 @@ def point_add(pt: Point, other: Point, c: CurveParams) -> Point:
     return _wrap(_kernels.wnaf_sum(terms, c.a, c.p))
 
 
-def scalar_mul(k: int, pt: Point, c: CurveParams) -> Point:
-    """k-fold group sum for k >= 0; k is not reduced modulo anything."""
-    return _wrap(_kernels.scalar_mul(k, _raw(pt), c.a, c.p))
-
-
-# Window width of the cached tables of G (and of phi(G) under GLV): 32
-# entries each, chosen by timing verification on secp256k1 and P-256.
+# Window widths.  A table built for one multiply (width 5, 8 entries)
+# costs 1 doubling and 7 mixed additions, and its pass then adds about
+# once per 6 bits of scalar.  The cached tables of G, and of phi(G) under GLV
+# (width 7, 32 entries each), are built once per curve; that width was
+# chosen by timing verification on secp256k1 and P-256.
+_FRESH_W = 5
 _BASE_W = 7
+
+
+def scalar_mul(k: int, pt: Point, c: CurveParams) -> Point:
+    """k-fold group sum for k >= 0, from a fresh table of pt and one pass;
+    k is not reduced modulo anything, so order checks like n*P work."""
+    if k < 0:
+        raise ValueError("scalars must be non-negative")
+    table = _kernels.odd_multiples(_raw(pt), _FRESH_W, c.a, c.p)
+    return _wrap(_kernels.wnaf_sum(((k, table),), c.a, c.p))
 
 
 def _cube_root_of_unity(m):
@@ -146,10 +155,11 @@ def _glv_basis(n, lam):
     return r1, -t1, r2, -t2
 
 
-def _glv(c: CurveParams):
+def _glv(c: CurveParams, table):
     """(beta, lam, basis) of the GLV endomorphism phi(x, y) = (beta*x, y),
     which is lam*P on every point of c, or None where that cannot be relied
-    on (Gallant, Lambert and Vanstone, CRYPTO 2001).
+    on (Gallant, Lambert and Vanstone, CRYPTO 2001).  ``table`` holds G's
+    odd multiples, over which lam*G is one pass.
 
     phi is an automorphism when a = 0 and beta^3 = 1 (mod p), so it acts
     as some lam on G's subgroup.  The subgroup is every point when h = 1
@@ -169,7 +179,7 @@ def _glv(c: CurveParams):
     if beta is None or lam is None:
         return None
     # lam*G is phi(G) for one of the two nontrivial roots beta, beta^2
-    lam_g = _kernels.scalar_mul(lam, (c.gx, c.gy), c.a, c.p)
+    lam_g = _kernels.wnaf_sum(((lam, table),), c.a, c.p)
     for b in (beta, beta * beta % c.p):
         if lam_g == (b * c.gx % c.p, c.gy):
             return b, lam, _glv_basis(c.n, lam)
@@ -199,8 +209,8 @@ def _base_terms(c: CurveParams):
     Keyed by the whole frozen value of c, so two curves that share a name
     but not a base point never share a table.
     """
-    glv = _glv(c)
     table = _kernels.odd_multiples((c.gx, c.gy), _BASE_W, c.a, c.p)
+    glv = _glv(c, table)
     if glv is None:
         return None, (table,)
     return glv, (table, _phi(table, glv[0], c.p))
@@ -217,7 +227,7 @@ def double_scalar_mul_base(u: int, v: int, other: Point, c: CurveParams) -> Poin
     if not (0 <= u < c.n and 0 <= v < c.n):
         raise ValueError("scalars must lie in [0, n - 1]")
     glv, g_tables = _base_terms(c)
-    q_table = _kernels.odd_multiples(_raw(other), _kernels.FRESH_W, c.a, c.p)
+    q_table = _kernels.odd_multiples(_raw(other), _FRESH_W, c.a, c.p)
     if glv is None:
         terms = zip((u, v), (*g_tables, q_table))
     else:
@@ -371,7 +381,7 @@ def validate_curve_params(c: CurveParams, strict: bool = True) -> ValidationRepo
         "order-kills-base",
         lambda: base_ok
         and c.n >= 1
-        and _kernels.scalar_mul(c.n, (c.gx, c.gy), c.a, c.p) is None,
+        and scalar_mul(c.n, c.base, c).is_infinity,
         "n*P != O",
     )
     run("cofactor-positive", lambda: c.h >= 1)

@@ -128,6 +128,8 @@ def parse_curve_config(text: str) -> "tuple[CurveParams, bool]":
     name = kv["name"]
     if not name:
         raise FormatError("curve name must not be empty")
+    if "," in name:
+        raise FormatError(f"curve name {name!r} contains ',', the curve-list separator")
     p = hex_to_int(kv["p"], "p")
     a = hex_to_int(kv["a"], "a")
     b = hex_to_int(kv["b"], "b")

@@ -635,6 +635,17 @@ def test_cli_import_leaves_out_what_only_bench_needs():
     assert result.stdout == "[]\n"
 
 
+def test_bench_import_loads_no_dataclasses():
+    # the bench's reports are named tuples, like every other value type
+    script = (
+        "import sys; before = set(sys.modules); import mecdsa.bench; "
+        "print('dataclasses' in set(sys.modules) - before)"
+    )
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_bench_in_a_fresh_process_matches_in_process(workdir, capsys):
     # the bench module is imported inside its command, so a fresh
     # interpreter, which has not loaded it, must print the same report

@@ -96,6 +96,15 @@ ERRORS = [
      "length-samples must be >= 1"),
     ("nonce-not-hex", [*SIGN, "--nonces", "zz"], {}, 2,
      "nonce: not a hex string: 'zz'"),
+    # SIGN gives --seed: the seed would be dropped without a word
+    ("seed-and-nonces", [*SIGN, "--nonces", "05,07"], {}, 2,
+     "--seed and --nonces cannot be used together"),
+    # a curve list could never name it
+    ("curve-name-comma", ["curves", "validate", "test17.curve"],
+     {"test17.curve": {"name": "a,b"}}, 2,
+     "test17.curve: curve name 'a,b' contains ',', the curve-list separator"),
+    ("curve-file-name-comma", ["curves", "list", *TOY], {"test17.curve": {"name": "a,b"}}, 2,
+     "test17.curve: curve name 'a,b' contains ',', the curve-list separator"),
     ("cannot-read-key", with_flag(SIGN, "--key", "no.sec"), {}, 3,
      f"cannot read no.sec: {NO_FILE}: 'no.sec'"),
     ("cannot-read-message", with_flag(SIGN, "--in", "no.bin"), {}, 3,

@@ -30,9 +30,16 @@ TOYS = (TEST17, TOY23, TOY43, TOY23M3)
 SMALL_PRIMES = [q for q in range(5, 256) if all(q % f for f in range(2, q))]
 
 
+def _mul(k, pt, a, p):
+    """curve's k*pt on a raw point; scalar_mul reads only a and p of its
+    curve."""
+    got = scalar_mul(k, _point(pt), CurveParams("raw", p, a, 0, 0, 0, 1, 1))
+    return None if got.is_infinity else (got.x, got.y)
+
+
 def _pair(u, p1, v, p2, a, p):
     """u*p1 + v*p2 from a fresh table of each point and one joint pass."""
-    tables = (_kernels.odd_multiples(pt, _kernels.FRESH_W, a, p) for pt in (p1, p2))
+    tables = (_kernels.odd_multiples(pt, curve._FRESH_W, a, p) for pt in (p1, p2))
     return _kernels.wnaf_sum(zip((u, v), tables), a, p)
 
 
@@ -49,6 +56,11 @@ def _base_form(u, v, q, c):
     """curve's u*G + v*Q from its cached G tables, as a raw tuple."""
     got = curve.double_scalar_mul_base(u, v, _point(q), c)
     return None if got.is_infinity else (got.x, got.y)
+
+
+def _glv(c):
+    """c's GLV data, or None, as the cached G terms hold it."""
+    return curve._base_terms(c)[0]
 
 
 def _naf(k, w):
@@ -71,7 +83,7 @@ def _naf(k, w):
 def test_scalar_mul_matches_repeated_add_from_every_toy_point(c):
     for raw in enum_points(c.a, c.b, c.p):
         for k in range(0, 3 * c.n + 1):
-            assert _kernels.scalar_mul(k, raw, c.a, c.p) == repeated_add(
+            assert _mul(k, raw, c.a, c.p) == repeated_add(
                 k, raw, c.a, c.p
             ), (c.name, raw, k)
 
@@ -98,7 +110,7 @@ def test_two_torsion_chains():
         for x0 in roots:
             for k in range(0, 41):
                 want = repeated_add(k, (x0, 0), a, p)
-                assert _kernels.scalar_mul(k, (x0, 0), a, p) == want
+                assert _mul(k, (x0, 0), a, p) == want
                 assert want == (None if k % 2 == 0 else (x0, 0))
             for q in points:
                 for u in range(0, 4):
@@ -123,7 +135,7 @@ def test_kernels_match_oracles_on_random_small_curves(data):
     scalars = st.integers(0, 4 * len(points))
     u, v = data.draw(scalars), data.draw(scalars)
     up1 = repeated_add(u, p1, a, p)
-    assert _kernels.scalar_mul(u, p1, a, p) == up1
+    assert _mul(u, p1, a, p) == up1
     want = chord_tangent_add(up1, repeated_add(v, p2, a, p), a, p)
     assert _pair(u, p1, v, p2, a, p) == want
     # point_add reads only a and p of its curve
@@ -134,9 +146,8 @@ def test_kernels_match_oracles_on_random_small_curves(data):
 
 def test_scalar_mul_rejects_negative_scalars():
     c = TEST17
-    g = (c.gx, c.gy)
     with pytest.raises(ValueError):
-        _kernels.scalar_mul(-1, g, c.a, c.p)
+        scalar_mul(-1, c.base, c)
     for u, v in ((-1, 1), (1, -1), (c.n, 1), (1, c.n)):
         with pytest.raises(ValueError):
             curve.double_scalar_mul_base(u, v, c.base, c)
@@ -175,7 +186,7 @@ def test_scalar_mul_matches_affine_ladder_on_builtins():
         scalars = [0, 1, 2, c.n - 1, c.n, c.n + 1]
         scalars += [rnd.randrange(1, c.n) for _ in range(10)]
         for k in scalars:
-            assert _kernels.scalar_mul(k, base, c.a, c.p) == affine_ladder(
+            assert _mul(k, base, c.a, c.p) == affine_ladder(
                 k, base, c.a, c.p
             ), (name, k)
 
@@ -184,7 +195,7 @@ def test_double_scalar_mul_matches_affine_ladder_on_builtins():
     # The GLV edges lam and n - lam split to halves (0, 1) and (0, -1).
     rnd = random.Random(1808)
     registry = default_registry()
-    assert [name for name in registry.names() if curve._glv(registry.get(name))] == [
+    assert [name for name in registry.names() if _glv(registry.get(name))] == [
         "secp256k1"
     ]
     for name in registry.names():
@@ -192,7 +203,7 @@ def test_double_scalar_mul_matches_affine_ladder_on_builtins():
         g = (c.gx, c.gy)
         q = affine_ladder(rnd.randrange(1, c.n), g, c.a, c.p)
         pairs = [(rnd.randrange(1, c.n), rnd.randrange(1, c.n)) for _ in range(20)]
-        glv = curve._glv(c)
+        glv = _glv(c)
         edges = (0, 1, c.n - 1) + ((glv[1], c.n - glv[1]) if glv else ())
         for edge in edges:
             pairs += [(edge, rnd.randrange(1, c.n)), (rnd.randrange(1, c.n), edge)]
@@ -205,11 +216,11 @@ def test_double_scalar_mul_matches_affine_ladder_on_builtins():
 
 def test_glv_split_recombines_to_k_with_halves_below_2_129():
     c = default_registry().get("secp256k1")
-    beta, lam, basis = curve._glv(c)
+    beta, lam, basis = _glv(c)
     # beta and lam are nontrivial cube roots of unity, matched on G
     assert beta != 1 and pow(beta, 3, c.p) == 1
     assert lam != 1 and pow(lam, 3, c.n) == 1
-    assert _kernels.scalar_mul(lam, (c.gx, c.gy), c.a, c.p) == (beta * c.gx % c.p, c.gy)
+    assert _mul(lam, (c.gx, c.gy), c.a, c.p) == (beta * c.gx % c.p, c.gy)
     a1, b1, a2, b2 = basis
     assert (a1 + b1 * lam) % c.n == 0 and (a2 + b2 * lam) % c.n == 0
     assert abs(a1 * b2 - a2 * b1) == c.n
@@ -250,7 +261,7 @@ def test_group_law_does_not_count_as_scheme_inversions(monkeypatch):
     assert g2 == chord_tangent_add(g, g, c.a, c.p)
     g3 = _pair(1, g, 1, g2, c.a, c.p)
     assert g3 == chord_tangent_add(g, g2, c.a, c.p)
-    assert _kernels.scalar_mul(5, g, c.a, c.p) == repeated_add(5, g, c.a, c.p)
+    assert _mul(5, g, c.a, c.p) == repeated_add(5, g, c.a, c.p)
     assert _pair(5, g, 6, g2, c.a, c.p) == repeated_add(17, g, c.a, c.p)
     assert calls == []
 
@@ -264,7 +275,7 @@ def test_ladder_inversions_do_not_grow_with_the_scalar(name, monkeypatch):
     c = default_registry().get(name)
     g = (c.gx, c.gy)
     rnd = random.Random(20)
-    q = _kernels.scalar_mul(rnd.randrange(1, c.n), g, c.a, c.p)
+    q = _mul(rnd.randrange(1, c.n), g, c.a, c.p)
     curve._base_terms(c)
     calls = []
     original = _kernels._inv
@@ -278,7 +289,7 @@ def test_ladder_inversions_do_not_grow_with_the_scalar(name, monkeypatch):
     for bits in (2, 64, 256):
         k, v = (rnd.getrandbits(bits) | 1 << (bits - 1) for _ in range(2))
         calls.clear()
-        _kernels.scalar_mul(k, g, c.a, c.p)
+        scalar_mul(k, c.base, c)
         single.add(len(calls))
         calls.clear()
         _base_form(k % c.n, v % c.n, q, c)
@@ -286,20 +297,9 @@ def test_ladder_inversions_do_not_grow_with_the_scalar(name, monkeypatch):
     assert single == base == {3}, (single, base)
 
 
-@pytest.mark.parametrize("name", ["secp256k1", "p256"])
-def test_ladder_group_operations_follow_closed_forms(name, monkeypatch):
-    # A fresh table of odd multiples P..15P costs one doubling (2P) and 7
-    # mixed additions (each entry is the one before plus 2P).  The pass
-    # makes one doubling per digit position, up to the highest nonzero
-    # NAF digit of any scalar, and one addition per nonzero digit.  Every
-    # multiply pays 3 inversions.  The base form reads G's tables from the
-    # cache (width 7), builds one of Q (width 5), and on secp256k1 runs
-    # the GLV halves of u and v over G, phi(G), Q and phi(Q).
-    c = default_registry().get(name)
-    g = (c.gx, c.gy)
-    rnd = random.Random(21)
-    q = _kernels.scalar_mul(rnd.randrange(1, c.n), g, c.a, c.p)
-    glv, g_tables = curve._base_terms(c)
+def _counting_cost(monkeypatch):
+    """cost(fn, *args): the (doublings, mixed additions, inversions) that
+    fn(*args) makes, counted at the kernel's own names."""
     names = ("_jac_double", "_jac_add_affine", "_inv")
     counts = dict.fromkeys(names, 0)
     for fn in names:
@@ -315,6 +315,25 @@ def test_ladder_group_operations_follow_closed_forms(name, monkeypatch):
         mul(*args)
         return tuple(counts[fn] for fn in names)
 
+    return cost
+
+
+@pytest.mark.parametrize("name", ["secp256k1", "p256"])
+def test_ladder_group_operations_follow_closed_forms(name, monkeypatch):
+    # A fresh table of odd multiples P..15P costs one doubling (2P) and 7
+    # mixed additions (each entry is the one before plus 2P).  The pass
+    # makes one doubling per digit position, up to the highest nonzero
+    # NAF digit of any scalar, and one addition per nonzero digit.  Every
+    # multiply pays 3 inversions.  The base form reads G's tables from the
+    # cache (width 7), builds one of Q (width 5), and on secp256k1 runs
+    # the GLV halves of u and v over G, phi(G), Q and phi(Q).
+    c = default_registry().get(name)
+    g = (c.gx, c.gy)
+    rnd = random.Random(21)
+    q = _mul(rnd.randrange(1, c.n), g, c.a, c.p)
+    glv, g_tables = curve._base_terms(c)
+    cost = _counting_cost(monkeypatch)
+
     def digits(*terms):
         """(digit positions, nonzero digits) of (scalar, width) terms."""
         nafs = [_naf(abs(k), w) for k, w in terms]
@@ -322,12 +341,12 @@ def test_ladder_group_operations_follow_closed_forms(name, monkeypatch):
 
     assert [len(table) for table in g_tables] == [32] * len(g_tables)
     # all-zero scalars have no digits, so this is the tables alone
-    assert cost(_kernels.scalar_mul, 0, g, c.a, c.p) == (1, 7, 3)
+    assert cost(scalar_mul, 0, c.base, c) == (1, 7, 3)
     assert cost(_base_form, 0, 0, q, c) == (1, 7, 3)
     for bits in (1, 2, 3, 5, 8, 64, 255, 256, 256, 256):
         k, v = (rnd.getrandbits(bits) | 1 << (bits - 1) for _ in range(2))
         positions, nonzero = digits((k, 5))
-        assert cost(_kernels.scalar_mul, k, g, c.a, c.p) == (1 + positions, 7 + nonzero, 3)
+        assert cost(scalar_mul, k, c.base, c) == (1 + positions, 7 + nonzero, 3)
         u, v = k % c.n, v % c.n
         if glv is None:
             terms = ((u, 7), (v, 5))
@@ -338,6 +357,24 @@ def test_ladder_group_operations_follow_closed_forms(name, monkeypatch):
         assert cost(_base_form, u, v, q, c) == (1 + positions, 7 + nonzero, 3), (bits, u, v)
         # GLV halves the doublings: its halves are below 2^129
         assert positions <= (130 if glv else c.n.bit_length() + 1)
+
+
+@pytest.mark.parametrize("name", ["secp256k1", "p256"])
+def test_cold_base_terms_follow_closed_forms(name, monkeypatch):
+    # G's width-7 table of odd multiples G..63G costs one doubling (2G),
+    # 31 mixed additions and 2 inversions.  On secp256k1 the GLV match then
+    # takes lam*G from that same table: one width-7 pass over lam and one
+    # inversion for the sum, and no multiply of its own.
+    c = default_registry().get(name)
+    cost = _counting_cost(monkeypatch)
+    curve._base_terms.cache_clear()
+    built = cost(curve._base_terms, c)
+    glv = _glv(c)
+    if glv is None:
+        assert name == "p256" and built == (1, 31, 2)
+    else:
+        naf = _naf(glv[1], 7)
+        assert built == (1 + len(naf), 31 + sum(d != 0 for d in naf), 3)
 
 
 @pytest.mark.parametrize("name", ["secp256k1", "p256"])
